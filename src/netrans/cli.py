@@ -124,6 +124,8 @@ def cmd_train_ne(args) -> int:
 
 def cmd_translate_ne(args) -> int:
     _require(args, "model", "input")
+    if not 1 <= args.k <= args.beam:
+        raise ConfigError(f"--k must be between 1 and --beam ({args.beam}), got {args.k}")
     model = load_model(args.model)
     rows = []
     for i, line in enumerate(core._read_lines(args.input)):

@@ -320,5 +320,9 @@ def read_symbol_map(path) -> dict[int, list[SymbolEntry]]:
             raise ParseError(str(exc), path, i + 1) from None
         if not PLACEHOLDER_RE.match(entry.symbol):
             raise ParseError(f"malformed symbol {entry.symbol!r}", path, i + 1)
-        by_sentence.setdefault(entry.sentence_id, []).append(entry)
+        entries = by_sentence.setdefault(entry.sentence_id, [])
+        if any(e.symbol == entry.symbol for e in entries):
+            raise ParseError(f"duplicate symbol {entry.symbol!r} for sentence "
+                             f"{entry.sentence_id}", path, i + 1)
+        entries.append(entry)
     return by_sentence

@@ -5,7 +5,16 @@ substitutions), which ties the two quantities together exactly:
 
     lcs_length(a, b) == (len(a) + len(b) - edit_distance_indel(a, b)) / 2
 
-A Levenshtein distance with substitutions would break that identity.
+A Levenshtein distance with substitutions would break that identity, and
+edit_distance_indel is computed from it.
+
+The LCS length comes from the bit-parallel algorithm of Allison & Dix
+(1986, IPL 23:305) in the formulation of Hyyrö (2004, "Bit-parallel
+LCS-length computation revisited"): one Python int holds a bit vector over
+the shorter string, and each character of the longer one updates it with
+an add, a subtract and three bitwise operations, so a pair costs
+O(len(longer)) big-int steps instead of the O(len(a) * len(b)) table of
+the dynamic program.
 
 The similarity of a translation candidate ``c`` against a text fragment
 ``t`` is lcs(c, t) / len(c), an asymmetric score in [0, 1].  Candidate and
@@ -13,25 +22,18 @@ fragment are NFC-normalized and lowercased before comparison, so
 "Berlin" and "berlin" match; lcs_length and edit_distance_indel themselves
 compare raw scalar sequences.
 
-At import time the compiled kernel (built from _simdist_c.pyx) is
-preferred; the pure-Python kernel is a drop-in fallback.  ``BACKEND``
-names the active one.
+``BACKEND`` names this kernel.  It stays a constant because benchmark
+results record it and refuse to compare runs made with different kernels.
 """
 
 from __future__ import annotations
 
 import unicodedata
 
-from . import _simdist_py
 from .errors import DegenerateInputError, LengthLimitError
 
-try:
-    from . import _simdist_c as _kernel
-
-    BACKEND = "c"
-except ImportError:  # pragma: no cover - depends on build environment
-    _kernel = _simdist_py
-    BACKEND = "python"
+# The only kernel; benchmark results record it and refuse to compare across values.
+BACKEND = "python"
 
 MAX_CHARS = 1024
 
@@ -46,13 +48,24 @@ def _check_lengths(a: str, b: str) -> None:
 def lcs_length(a: str, b: str) -> int:
     """Length of the longest common subsequence of two strings."""
     _check_lengths(a, b)
-    return _kernel.lcs_length(a, b)
+    if len(a) > len(b):
+        a, b = b, a
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        masks[ch] = masks.get(ch, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    # A cleared bit i of v marks a step up of the DP row at column i, so the
+    # cleared bits sum to the LCS.
+    v = full
+    for ch in b:
+        u = v & masks.get(ch, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def edit_distance_indel(a: str, b: str) -> int:
     """Minimal number of single-character insertions and deletions turning a into b."""
-    _check_lengths(a, b)
-    return _kernel.edit_distance_indel(a, b)
+    return len(a) + len(b) - 2 * lcs_length(a, b)
 
 
 def fold(s: str) -> str:
@@ -70,5 +83,4 @@ def similarity(candidate: str, target: str) -> float:
     t = fold(target)
     if not c:
         raise DegenerateInputError("similarity candidate must be non-empty")
-    _check_lengths(c, t)
-    return _kernel.lcs_length(c, t) / len(c)
+    return lcs_length(c, t) / len(c)

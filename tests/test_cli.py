@@ -197,6 +197,18 @@ def test_translate_ne_rejects_empty_lines(capsys, work, tiny_model):
     assert "empty line 2" in err
 
 
+@pytest.mark.parametrize("k", ["0", "6"])
+def test_translate_ne_k_must_fit_the_beam(capsys, work, tiny_model, k):
+    inputs = work / "k_inputs.txt"
+    inputs.write_text("巴林\n", encoding="utf-8")
+    out = work / "k_unused.tsv"
+    rc, _, err = run(capsys, "translate-ne", "--model", str(tiny_model),
+                     "--input", str(inputs), "--out", str(out), "--beam", "5", "--k", k)
+    assert rc == 1
+    assert "--k must be between 1 and --beam (5)" in err
+    assert not out.exists()
+
+
 def test_score_ne(capsys, work, tiny_model, tiny_pairs):
     rc, out, _ = run(capsys, "score-ne", "--model", str(tiny_model),
                      "--pairs", str(tiny_pairs))
@@ -302,6 +314,20 @@ def test_restore_without_table_falls_back_to_rules(capsys, work, nt_corpus, alig
     assert rc == 0
     assert "from_rules\t2" in out
     assert "from_table\t0" in out
+
+
+def test_restore_rejects_duplicate_symbol_rows(capsys, work):
+    mt = work / "dup_mt.en"
+    mt.write_text("PER1 arrived\n", encoding="utf-8")
+    symmap = work / "dup_symbols.tsv"
+    symmap.write_text("0\tPER1\t安娜\tPER\tanna\n0\tPER1\t马克\tPER\tmake\n",
+                      encoding="utf-8")
+    out = work / "dup_restored.en"
+    rc, _, err = run(capsys, "restore", "--input", str(mt), "--symmap", str(symmap),
+                     "--src-lang", "zh", "--tgt-lang", "en", "--out", str(out))
+    assert rc == 2
+    assert f"{symmap}:2: duplicate symbol 'PER1'" in err
+    assert not out.exists()
 
 
 def test_replace_modes_are_mutually_exclusive(capsys, work, nt_corpus, aligned_nt):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from netrans import simdist
 from netrans.errors import DegenerateInputError, LengthLimitError
@@ -30,10 +32,51 @@ def subsequence_oracle(a: str, b: str) -> int:
     return best
 
 
-def random_pair(rng: random.Random, max_len: int) -> tuple[str, str]:
+def dp_lcs_length(a: str, b: str) -> int:
+    """O(len(a) * len(b)) dynamic-programming LCS, the reference for the bit-parallel kernel."""
+    if len(a) > len(b):
+        a, b = b, a
+    m = len(a)
+    if m == 0:
+        return 0
+    prev = [0] * (m + 1)
+    curr = [0] * (m + 1)
+    for cb in b:
+        for i in range(1, m + 1):
+            if a[i - 1] == cb:
+                curr[i] = prev[i - 1] + 1
+            else:
+                ci, pi = curr[i - 1], prev[i]
+                curr[i] = ci if ci >= pi else pi
+        prev, curr = curr, prev
+    return prev[m]
+
+
+def dp_edit_distance_indel(a: str, b: str) -> int:
+    """Indel edit distance by its own dynamic program, independent of any LCS."""
+    if len(a) > len(b):
+        a, b = b, a
+    m = len(a)
+    if m == 0:
+        return len(b)
+    prev = list(range(m + 1))
+    curr = [0] * (m + 1)
+    for j, cb in enumerate(b, start=1):
+        curr[0] = j
+        for i in range(1, m + 1):
+            if a[i - 1] == cb:
+                curr[i] = prev[i - 1]
+            else:
+                ci, pi = curr[i - 1], prev[i]
+                curr[i] = (ci if ci <= pi else pi) + 1
+        prev, curr = curr, prev
+    return prev[m]
+
+
+def random_pair(rng: random.Random, max_len: int, alphabet: str = ALPHABET) -> tuple[str, str]:
     return (
-        "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len))),
-        "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, max_len))),
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len))),
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len))),
     )
 
 
@@ -77,14 +120,27 @@ def test_lcs_matches_exponential_oracle_on_short_strings():
         assert simdist.lcs_length(a, b) == subsequence_oracle(a, b)
 
 
-def test_both_kernels_agree():
-    from netrans import _simdist_py
-
+def test_kernel_matches_dp_oracle():
+    # lengths past 64 make the bit vectors span several machine words
     rng = random.Random(13)
-    for _ in range(300):
-        a, b = random_pair(rng, 24)
-        assert simdist.lcs_length(a, b) == _simdist_py.lcs_length(a, b)
-        assert simdist.edit_distance_indel(a, b) == _simdist_py.edit_distance_indel(a, b)
+    for alphabet in ("abc", ALPHABET):
+        for _ in range(150):
+            a, b = random_pair(rng, 200, alphabet)
+            assert simdist.lcs_length(a, b) == dp_lcs_length(a, b), (a, b)
+            assert simdist.edit_distance_indel(a, b) == dp_edit_distance_indel(a, b), (a, b)
+
+
+KERNEL_TEXT = st.text(alphabet="abc1北京", max_size=100)
+
+
+@given(KERNEL_TEXT, KERNEL_TEXT)
+def test_kernel_properties(a, b):
+    lcs = simdist.lcs_length(a, b)
+    assert lcs == dp_lcs_length(a, b)
+    assert lcs == simdist.lcs_length(b, a)
+    assert 0 <= lcs <= min(len(a), len(b))
+    # the DP edit distance is computed without any LCS, so this checks the identity
+    assert 2 * lcs + dp_edit_distance_indel(a, b) == len(a) + len(b)
 
 
 def test_similarity_folds_case_and_normalization():
@@ -115,4 +171,4 @@ def test_length_limit_is_enforced():
 
 
 def test_backend_reports_active_kernel():
-    assert simdist.BACKEND in ("c", "python")
+    assert simdist.BACKEND == "python"
