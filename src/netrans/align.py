@@ -5,19 +5,27 @@ every word sequence up to `max_ngram` tokens on the other side; the final
 result is the union of both directions, so an entity missed by one
 recognizer can still be aligned through the other. Numeric/temporal spans
 skip the translator and match on digit skeletons instead.
+
+Names repeat across a corpus, so `align_corpus` decodes each distinct
+surface once per direction: every process that aligns sentences wraps each
+translator in a memo keyed by the input text, kept for that run only. The
+memo sits here, not in `ModelTranslator`, so that every call of a
+translator is still one decode and the memo cannot outlive the run;
+k-best lists are stored as tuples, so no caller can alter a shared entry.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import numnorm, simdist
 from .core import NePair, NeSpan, NeType, SentencePair, _read_lines
-from .errors import ConfigError, ContractError, ParseError
+from .errors import ConfigError, ContractError, LengthLimitError, ParseError
 from .ner import Recognizer
+from .parallel import pmap
 
 log = logging.getLogger(__name__)
 
@@ -27,7 +35,7 @@ BOTH = "both"
 DIRECTIONS = (BOTH, S2T, T2S)
 
 # k-best: text -> [(candidate, logprob), ...]
-Translator = Callable[[str], list[tuple[str, float]]]
+Translator = Callable[[str], Sequence[tuple[str, float]]]
 
 
 @dataclass(frozen=True)
@@ -68,33 +76,47 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     """Best-scoring token range for one entity, or None below threshold.
 
     Ties prefer the shorter range, then the leftmost, then the higher-ranked
-    candidate.
+    candidate. A candidate/range pair longer than `simdist.MAX_CHARS` counts
+    as no match.
     """
     if ne.ne_type is NeType.NT:
-        scored = [(ne.surface, 0.0)]
+        skeleton = numnorm.normalize_numeric(ne.surface, ne_lang)
+        if not skeleton:
+            return None  # every range would score 0.0, below any threshold
+        scored = [skeleton]
+
+        def similarity(cand, text):
+            return numnorm.skeleton_similarity(cand, numnorm.normalize_numeric(text, other_lang))
     else:
-        scored = [(c, lp) for c, lp in candidates if c]
+        scored = [c for c, _ in candidates if c]
         if not scored:
             raise ConfigError(
                 f"no translation candidates for {ne.ne_type.value} span {ne.surface!r}")
+        similarity = simdist.similarity
 
     n = len(other_tokens)
     best = None
     best_key = None
+    too_long = 0
     for start in range(n):
         for end in range(start + 1, min(start + cfg.max_ngram, n) + 1):
             text = " ".join(other_tokens[start:end])
-            for rank, (cand, _) in enumerate(scored):
-                if ne.ne_type is NeType.NT:
-                    score = numnorm.nt_similarity(ne.surface, ne_lang, text, other_lang)
-                else:
-                    score = simdist.similarity(cand, text)
+            for rank, cand in enumerate(scored):
+                try:
+                    score = similarity(cand, text)
+                except LengthLimitError:
+                    too_long += 1
+                    continue
                 if score < cfg.sim_threshold:
                     continue
                 key = (-score, end - start, start, rank)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (start, end, score)
+    if too_long:
+        log.warning("sentence %d: %d comparison(s) for %s span %r exceed %d chars, "
+                    "treated as no match", ne.sentence_id, too_long, ne.ne_type.value,
+                    ne.surface, simdist.MAX_CHARS)
     return best
 
 
@@ -218,11 +240,17 @@ def _merge_directions(fwd: list[AlignedPair], rev: list[AlignedPair]) -> list[Al
 _WORKER_STATE: dict = {}
 
 
+def _memoized(translator: Translator | None) -> Translator | None:
+    if translator is None:
+        return None
+    return functools.cache(lambda text: tuple(translator(text)))
+
+
 def _init_worker(recognizer, cfg, s2t, t2s) -> None:
     _WORKER_STATE["recognizer"] = recognizer
     _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["s2t"] = s2t
-    _WORKER_STATE["t2s"] = t2s
+    _WORKER_STATE["s2t"] = _memoized(s2t)
+    _WORKER_STATE["t2s"] = _memoized(t2s)
 
 
 def _align_one(pair: SentencePair) -> list[AlignedPair]:
@@ -240,18 +268,14 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
     """Align every sentence pair and aggregate the extracted entity pairs.
 
     jobs > 1 fans sentences out to worker processes; outputs are identical
-    for any job count because results are consumed in corpus order.
+    for any job count because results are consumed in corpus order. Each
+    process calls a translator once per distinct entity surface.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        _init_worker(recognizer, cfg, s2t, t2s)
-        per_sentence = [_align_one(pair) for pair in corpus]
-    else:
-        chunk = max(1, len(corpus) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(recognizer, cfg, s2t, t2s)) as pool:
-            per_sentence = list(pool.map(_align_one, corpus, chunksize=chunk))
+    try:
+        per_sentence = pmap(_align_one, corpus, jobs, _init_worker,
+                            (recognizer, cfg, s2t, t2s))
+    finally:
+        _WORKER_STATE.clear()  # the decode memos live for this run only
 
     alignments: list[AlignedPair] = []
     counts: dict[tuple[str, str, NeType], int] = {}

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from . import __version__, align, core, numnorm, pipeline, simdist, synth
@@ -27,6 +26,7 @@ from .neural import ModelConfig, gradient_check, load_model, make_model, oriente
 from .neural import train as train_model
 from .neural import translate as beam_translate
 from .ner import AnnotationRecognizer, Gazetteer
+from .parallel import pmap
 
 log = logging.getLogger(__name__)
 
@@ -68,16 +68,6 @@ def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name) in (None, ""):
             raise ConfigError(f"--{name.replace('_', '-')} is required")
-
-
-def _pmap(func, items, jobs: int):
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(items) < 2:
-        return [func(item) for item in items]
-    chunk = max(1, len(items) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, items, chunksize=chunk))
 
 
 def _model_config(args) -> ModelConfig:
@@ -238,7 +228,7 @@ def cmd_replace(args) -> int:
         for a in align.read_alignments(args.alignments):
             by_sid.setdefault(a.sentence_id, []).append(a)
         tasks = [(pair, by_sid.get(pair.id, [])) for pair in corpus]
-        results = _pmap(_replace_pair_task, tasks, args.jobs)
+        results = pmap(_replace_pair_task, tasks, args.jobs)
         core.write_parallel_corpus([pair for pair, _ in results], args.out_src, args.out_tgt)
         entries = [e for _, group in results for e in group]
         pipeline.write_symbol_map(entries, args.out_symmap)
@@ -254,7 +244,7 @@ def cmd_replace(args) -> int:
     sentences = _read_sentences(args.input, args.lang)
     worker = partial(_replace_test_task, recognizer=recognizer, vocab=vocab,
                      oov_only=args.oov_only)
-    results = _pmap(worker, list(enumerate(sentences)), args.jobs)
+    results = pmap(worker, list(enumerate(sentences)), args.jobs)
     _write_rows(args.out, [sentence.text() for sentence, _ in results])
     entries = [e for _, group in results for e in group]
     pipeline.write_symbol_map(entries, args.out_symmap)
@@ -287,7 +277,7 @@ def cmd_restore(args) -> int:
 
     worker = partial(_restore_task, symbol_map=symbol_map, table=table,
                      translator=translator, src_lang=args.src_lang, tgt_lang=args.tgt_lang)
-    results = _pmap(worker, list(enumerate(sentences)), args.jobs)
+    results = pmap(worker, list(enumerate(sentences)), args.jobs)
     _write_rows(args.out, [sentence.text() for sentence, _ in results])
 
     totals = pipeline.RestoreReport()

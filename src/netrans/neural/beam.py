@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from ..errors import ConfigError, DegenerateInputError
 from .model import Seq2SeqModel
@@ -15,8 +15,12 @@ def translate(model: Seq2SeqModel, src: str, beam_width: int = 5,
 
     Hypotheses finish at <eos> (scored including that step) or when they hit
     max_len, in which case the score covers only the emitted characters.
-    Width 1 reduces to greedy decoding; ties break toward the lower
-    character id, matching argmax.
+
+    Each step scores every one-character extension of every live hypothesis
+    (running score plus step log-prob, non-finite ones dropped) and keeps
+    the beam_width best. Equal scores rank the lower ids tuple first, that
+    is, the lower character id; width 1 therefore reduces to greedy
+    decoding, matching argmax.
     """
     if beam_width < 1:
         raise ConfigError(f"beam_width must be >= 1, got {beam_width}")
@@ -29,31 +33,34 @@ def translate(model: Seq2SeqModel, src: str, beam_width: int = 5,
     att_enc = enc @ model.params["att_u"]
     s0 = model.initial_state(enc)
 
-    # live hypothesis: (ids tuple, logprob, state, previous id)
-    live = [((), 0.0, s0, BOS)]
+    # live hypotheses, kept in ids order: (ids tuple, logprob, state)
+    live = [((), 0.0, s0)]
     finished: list[tuple[float, tuple[int, ...]]] = []
 
     for _ in range(max_len):
-        expansions = []
-        for ids, lp, state, y_prev in live:
-            logp, s_new = model.step(state, y_prev, enc, att_enc)
-            for y in range(len(logp)):
-                step_lp = logp[y]
-                if not math.isfinite(step_lp):
-                    continue
-                expansions.append((ids + (y,), lp + step_lp, s_new))
-        expansions.sort(key=lambda item: (-item[1], item[0]))
-        live = []
-        for ids, lp, s_new in expansions[:beam_width]:
-            if ids[-1] == EOS:
-                finished.append((lp, ids[:-1]))
+        steps = [model.step(state, ids[-1] if ids else BOS, enc, att_enc)
+                 for ids, _, state in live]
+        scores = np.array([lp for _, lp, _ in live])[:, None] + np.stack([lp for lp, _ in steps])
+        width = scores.shape[1]
+        flat = scores.ravel()
+        index = np.flatnonzero(np.isfinite(flat))
+        # live is in ids order and every ids tuple has the same length, so the
+        # flat index orders the extensions by their ids tuples
+        best = np.sort(index[np.lexsort((index, -flat[index]))[:beam_width]])
+        extended = []
+        for i in best.tolist():
+            h, y = divmod(i, width)
+            ids = live[h][0] + (y,)
+            if y == EOS:
+                finished.append((flat[i], ids[:-1]))
             else:
-                live.append((ids, lp, s_new, ids[-1]))
+                extended.append((ids, flat[i], steps[h][1]))
+        live = extended
         if not live:
             break
 
     # anything still alive ran into the length cap; keep its raw score
-    for ids, lp, _, _ in live:
+    for ids, lp, _ in live:
         finished.append((lp, ids))
 
     finished.sort(key=lambda item: (-item[0], item[1]))

@@ -131,8 +131,12 @@ def nt_similarity(
     Returns 0.0 when either skeleton is empty; no trained translator is
     involved.
     """
-    a = normalize_numeric(src, src_lang, table)
-    b = normalize_numeric(tgt, tgt_lang, table)
+    return skeleton_similarity(normalize_numeric(src, src_lang, table),
+                               normalize_numeric(tgt, tgt_lang, table))
+
+
+def skeleton_similarity(a: str, b: str) -> float:
+    """Similarity of two digit skeletons; 0.0 when either is empty."""
     if not a or not b:
         return 0.0
     return simdist.similarity(a, b)

@@ -1,0 +1,32 @@
+"""Order-preserving fan-out of independent work items to worker processes."""
+
+from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Sequence, TypeVar
+
+from .errors import ConfigError
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def pmap(func: Callable[[T], R], items: Sequence[T], jobs: int,
+         initializer: Callable[..., None] | None = None, initargs: tuple = ()) -> list[R]:
+    """[func(item) for item in items], computed by `jobs` processes.
+
+    Results come back in item order, so the output is the same for any job
+    count. `initializer(*initargs)` runs once in every process that calls
+    func: in each worker, or here when the items are mapped in-process
+    (jobs == 1, or fewer than two items).
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1 or len(items) < 2:
+        if initializer is not None:
+            initializer(*initargs)
+        return [func(item) for item in items]
+    chunk = max(1, len(items) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=jobs, initializer=initializer,
+                             initargs=initargs) as pool:
+        return list(pool.map(func, items, chunksize=chunk))

@@ -1,5 +1,9 @@
+import logging
+from collections import Counter
+
 import pytest
 
+from netrans import simdist, synth
 from netrans.align import (
     AlignConfig,
     AlignedPair,
@@ -11,6 +15,7 @@ from netrans.align import (
 )
 from netrans.core import NeSpan, NeType, Sentence, SentencePair
 from netrans.errors import ConfigError, ContractError, ParseError
+from netrans.ner import AnnotationRecognizer
 
 CFG = AlignConfig()
 
@@ -23,6 +28,18 @@ class DictTranslator:
 
     def __call__(self, text):
         return self.table.get(text, [("???", -9.0)])
+
+
+class CountingTranslator(DictTranslator):
+    """DictTranslator that counts its calls per input text."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.calls = Counter()
+
+    def __call__(self, text):
+        self.calls[text] += 1
+        return super().__call__(text)
 
 
 def pair(sid, src_tokens, tgt_tokens):
@@ -255,6 +272,48 @@ def test_align_corpus_is_job_count_invariant():
     assert sequential == parallel
     with pytest.raises(ConfigError):
         align_corpus(small_corpus(), TwoSentenceRecognizer(), CFG, s2t, t2s, jobs=0)
+
+
+def test_align_corpus_decodes_each_surface_once_per_direction():
+    synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.0,
+                                  oneside_drop=0.2)
+    recognizer = AnnotationRecognizer(synthetic.annotations)
+    s2t_table = {p.src: [(p.tgt, 0.0)] for p in synthetic.train_pairs}
+    t2s_table = {p.tgt: [(p.src, 0.0)] for p in synthetic.train_pairs}
+    s2t, t2s = CountingTranslator(s2t_table), CountingTranslator(t2s_table)
+    got = align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s)
+
+    spans = {"source": [], "target": []}
+    by_sentence = []
+    for p in synthetic.corpus:
+        src_spans = recognizer.recognize(p.src, p.id, "source")
+        tgt_spans = recognizer.recognize(p.tgt, p.id, "target")
+        spans["source"] += src_spans
+        spans["target"] += tgt_spans
+        by_sentence += align_sentence_pair(p, src_spans, tgt_spans, CFG,
+                                           DictTranslator(s2t_table), DictTranslator(t2s_table))
+    for side, translator in (("source", s2t), ("target", t2s)):
+        surfaces = [s.surface for s in spans[side] if s.ne_type is not NeType.NT]
+        assert len(set(surfaces)) < len(surfaces)  # names repeat, so decodes are saved
+        assert translator.calls == Counter(set(surfaces))
+    assert got[0] == by_sentence and len(by_sentence) > 0
+    assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=2) == got
+
+
+def test_overlong_token_is_no_match_not_a_corpus_failure(caplog):
+    corpus = [
+        pair(0, ["波林", "说"], ["bolin", "x" * 2000, "said"]),
+        pair(1, ["波林", "来"], ["bolin", "arrived"]),
+    ]
+    s2t, t2s = corpus_translators()
+    with caplog.at_level(logging.WARNING, logger="netrans.align"):
+        alignments, ne_pairs = align_corpus(corpus, TwoSentenceRecognizer(), CFG, s2t, t2s)
+    assert [(a.sentence_id, a.src_start, a.tgt_start, a.direction) for a in alignments] == [
+        (0, 0, 0, "both"), (1, 0, 0, "both")]
+    assert [(p.src, p.tgt, p.count) for p in ne_pairs] == [("波林", "bolin", 2)]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "sentence 0" in warnings[0]
+    assert str(simdist.MAX_CHARS) in warnings[0]
 
 
 # -- file format ------------------------------------------------------------------
