@@ -31,15 +31,24 @@ class Gazetteer:
     Matching is longest-entry-first (ties to the leftmost occurrence), then
     maximal runs of numeric or month tokens over the uncovered remainder
     become NT spans.
+
+    Construction indexes ``entries`` by first token, so each sentence
+    position tries only the entries that start with its token.  The index
+    is built once: do not mutate ``entries`` afterwards.
     """
 
     entries: dict[tuple[str, ...], NeType]
     nt_rules: RuleTable = field(default_factory=default_rules)
+    _by_first: dict[str, tuple[tuple[tuple[str, ...], NeType], ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for key in self.entries:
+        by_first: dict[str, list[tuple[tuple[str, ...], NeType]]] = {}
+        for key, ne_type in self.entries.items():
             if not key or any(not tok for tok in key):
                 raise ValueError(f"gazetteer entry with empty tokens: {key!r}")
+            by_first.setdefault(key[0], []).append((key, ne_type))
+        object.__setattr__(self, "_by_first", {tok: tuple(b) for tok, b in by_first.items()})
 
     @classmethod
     def from_path(cls, path) -> "Gazetteer":
@@ -78,11 +87,12 @@ class Gazetteer:
         tokens = sentence.tokens
         n = len(tokens)
         matches = []
-        for (key, ne_type) in self.entries.items():
-            width = len(key)
-            for start in range(0, n - width + 1):
-                if tuple(tokens[start:start + width]) == key:
+        for start, token in enumerate(tokens):
+            for key, ne_type in self._by_first.get(token, ()):
+                width = len(key)
+                if tokens[start:start + width] == key:
                     matches.append((start, width, ne_type))
+        # keys are unique, so no two matches tie on (width, start)
         matches.sort(key=lambda m: (-m[1], m[0]))
 
         covered = [False] * n
@@ -94,13 +104,15 @@ class Gazetteer:
                 covered[j] = True
             spans.append(NeSpan(sentence_id, side, start, start + width, ne_type))
 
+        lang = sentence.lang
+        is_nt = [not covered[i] and self._is_nt_token(tok, lang) for i, tok in enumerate(tokens)]
         i = 0
         while i < n:
-            if covered[i] or not self._is_nt_token(tokens[i], sentence.lang):
+            if not is_nt[i]:
                 i += 1
                 continue
-            j = i
-            while j < n and not covered[j] and self._is_nt_token(tokens[j], sentence.lang):
+            j = i + 1
+            while j < n and is_nt[j]:
                 j += 1
             spans.append(NeSpan(sentence_id, side, i, j, NeType.NT))
             i = j

@@ -16,7 +16,7 @@ nothing.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -43,16 +43,31 @@ def _is_ascii_letter(c: str) -> bool:
     return "a" <= c <= "z" or "A" <= c <= "Z"
 
 
+# (needs a word start, patterns) for the characters that start a pattern
+_Bucket = tuple[bool, tuple[tuple[str, str], ...]]
+_NO_BUCKET: _Bucket = (False, ())
+
+
 @dataclass(frozen=True)
 class RuleTable:
-    """Longest-pattern-first rewrite table, grouped by language."""
+    """Longest-pattern-first rewrite table, grouped by language.
+
+    For each language, the first ``normalize_numeric`` call builds an index
+    from a first character to the patterns starting with it, in
+    ``patterns_for`` order, and caches it on the table, so each position of
+    a string tries only the patterns that can match there.
+    """
 
     rules: dict[str, tuple[tuple[str, str], ...]]
+    _index: dict[str, dict[str, _Bucket]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_rows(cls, rows) -> "RuleTable":
         by_lang: dict[str, list[tuple[str, str]]] = {}
-        for pattern, replacement, lang in rows:
+        for i, (pattern, replacement, lang) in enumerate(rows):
+            if not pattern:
+                raise ValueError(f"rule row {i}: empty pattern in {(pattern, replacement, lang)!r}")
             by_lang.setdefault(lang, []).append((pattern.lower(), replacement))
         ordered = {
             lang: tuple(sorted(pats, key=lambda pr: (-len(pr[0]), pr[0])))
@@ -81,20 +96,21 @@ class RuleTable:
             return specific
         return tuple(sorted(specific + universal, key=lambda pr: (-len(pr[0]), pr[0])))
 
-    def match_at(self, lowered: str, i: int, patterns) -> tuple[int, str] | None:
-        """Longest pattern matching at position i, or None.
+    def index_for(self, lang: str) -> dict[str, _Bucket]:
+        """First character -> (needs a word start, its patterns in table order).
 
         Alphabetic (ASCII-letter) patterns require a word start: they do
-        not match right after another ASCII letter.
+        not match right after another ASCII letter.  All patterns in a
+        bucket share their first character, so the rule holds per bucket.
         """
-        for pattern, replacement in patterns:
-            end = i + len(pattern)
-            if lowered[i:end] != pattern:
-                continue
-            if _is_ascii_letter(pattern[0]) and i > 0 and _is_ascii_letter(lowered[i - 1]):
-                continue
-            return len(pattern), replacement
-        return None
+        index = self._index.get(lang)
+        if index is None:
+            buckets: dict[str, list[tuple[str, str]]] = {}
+            for pattern, replacement in self.patterns_for(lang):
+                buckets.setdefault(pattern[0], []).append((pattern, replacement))
+            index = {c: (_is_ascii_letter(c), tuple(pats)) for c, pats in buckets.items()}
+            self._index[lang] = index
+        return index
 
 
 @lru_cache(maxsize=1)
@@ -107,19 +123,22 @@ def default_rules() -> RuleTable:
 def normalize_numeric(s: str, lang: str, table: RuleTable | None = None) -> str:
     """Reduce an expression to its digit skeleton over the alphabet 1-9."""
     table = table or default_rules()
-    patterns = table.patterns_for(lang)
+    index = table.index_for(lang)
     lowered = unicodedata.normalize("NFC", s).lower()
     out: list[str] = []
     i = 0
     n = len(lowered)
     while i < n:
-        hit = table.match_at(lowered, i, patterns)
-        if hit is None:
+        word_start, patterns = index.get(lowered[i], _NO_BUCKET)
+        if word_start and i > 0 and _is_ascii_letter(lowered[i - 1]):
+            patterns = ()
+        for pattern, replacement in patterns:
+            if lowered.startswith(pattern, i):
+                out.append(replacement)
+                i += len(pattern)
+                break
+        else:
             i += 1
-            continue
-        length, replacement = hit
-        out.append(replacement)
-        i += length
     return "".join(c for c in "".join(out) if c in DIGITS)
 
 

@@ -1,4 +1,5 @@
 import logging
+import pickle
 from collections import Counter
 
 import pytest
@@ -15,7 +16,7 @@ from netrans.align import (
 )
 from netrans.core import NeSpan, NeType, Sentence, SentencePair
 from netrans.errors import ConfigError, ContractError, ParseError
-from netrans.ner import AnnotationRecognizer
+from netrans.ner import AnnotationRecognizer, Gazetteer
 
 CFG = AlignConfig()
 
@@ -298,6 +299,29 @@ def test_align_corpus_decodes_each_surface_once_per_direction():
         assert translator.calls == Counter(set(surfaces))
     assert got[0] == by_sentence and len(by_sentence) > 0
     assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=2) == got
+
+
+def test_gazetteer_aligns_the_same_across_job_counts():
+    # workers receive the gazetteer, and its first-token index, pickled
+    # (or forked); both ways must align alike
+    synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.0)
+    annotated = AnnotationRecognizer(synthetic.annotations)
+    entries = {}
+    for p in synthetic.corpus:
+        for side, sentence in (("source", p.src), ("target", p.tgt)):
+            for span in annotated.recognize(sentence, p.id, side):
+                if span.ne_type is not NeType.NT:
+                    entries.setdefault(tuple(span.surface.split()), span.ne_type)
+    gazetteer = Gazetteer(entries)
+    s2t = DictTranslator({p.src: [(p.tgt, 0.0)] for p in synthetic.train_pairs})
+    t2s = DictTranslator({p.tgt: [(p.src, 0.0)] for p in synthetic.train_pairs})
+    sequential = align_corpus(synthetic.corpus, gazetteer, CFG, s2t, t2s, jobs=1)
+    alignments, ne_pairs = sequential
+    assert {a.ne_type for a in alignments} >= {NeType.PER, NeType.LOC, NeType.NT}
+    assert len(ne_pairs) > 0
+    assert align_corpus(synthetic.corpus, gazetteer, CFG, s2t, t2s, jobs=2) == sequential
+    unpickled = pickle.loads(pickle.dumps(gazetteer))
+    assert align_corpus(synthetic.corpus, unpickled, CFG, s2t, t2s, jobs=1) == sequential
 
 
 def test_overlong_token_is_no_match_not_a_corpus_failure(caplog):

@@ -1,6 +1,9 @@
 import random
+import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netrans.errors import ParseError
 from netrans.numnorm import (
@@ -116,3 +119,75 @@ def test_rule_table_rejects_malformed_file(tmp_path):
 def test_default_rules_cover_both_languages():
     table = default_rules()
     assert {"zh", "en"} <= set(table.rules)
+
+
+def test_universal_rules_merge_longest_first():
+    table = RuleTable.from_rows([("a", "1", "en"), ("ab", "2", "*"), ("abc", "3", "en")])
+    assert normalize_numeric("ab abc a", "en", table) == "231"
+    assert normalize_numeric("ab abc a", "zh", table) == "22"
+
+
+def test_rule_table_rejects_empty_patterns(tmp_path):
+    with pytest.raises(ValueError, match="rule row 1"):
+        RuleTable.from_rows([("x", "7", "en"), ("", "7", "en")])
+    path = tmp_path / "rules.tsv"
+    path.write_text("x\t7\ten\n\t7\ten\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=":2"):
+        RuleTable.from_path(path)
+
+
+def _is_ascii_letter(c):
+    return "a" <= c <= "z" or "A" <= c <= "Z"
+
+
+def scan_normalize(s, lang, table):
+    """Reference: every pattern of the language tried at every position."""
+    patterns = table.patterns_for(lang)
+    lowered = unicodedata.normalize("NFC", s).lower()
+    out = []
+    i = 0
+    while i < len(lowered):
+        for pattern, replacement in patterns:
+            if lowered[i:i + len(pattern)] != pattern:
+                continue
+            if _is_ascii_letter(pattern[0]) and i > 0 and _is_ascii_letter(lowered[i - 1]):
+                continue
+            out.append(replacement)
+            i += len(pattern)
+            break
+        else:
+            i += 1
+    return "".join(c for c in "".join(out) if c in DIGITS)
+
+
+DEFAULT_CHARS = sorted({c for pats in default_rules().rules.values() for p, _ in pats for c in p})
+NOISE = " .,%0zxOTÉé十"
+LANG = st.sampled_from(["zh", "en"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(DEFAULT_CHARS + list(NOISE), max_size=30), min_size=1, max_size=5),
+       LANG)
+def test_rule_index_matches_the_scan_on_default_rules(texts, lang):
+    table = default_rules()
+    for text in texts:
+        assert normalize_numeric(text, lang) == scan_normalize(text, lang, table)
+
+
+# a small alphabet, so patterns share prefixes and first characters; ASCII
+# letters exercise the word-start rule, upper case and "İ" (two characters
+# when lowered) the folding of patterns and text
+PATTERN_CHARS = "abAB1一十月İ"
+RULE = st.tuples(st.text(PATTERN_CHARS, min_size=1, max_size=4),
+                 st.text("0123456789", max_size=2),
+                 st.sampled_from(["zh", "en", "*"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RULE, min_size=1, max_size=10),
+       st.lists(st.text(PATTERN_CHARS + " .z2", max_size=20), min_size=1, max_size=5),
+       LANG)
+def test_rule_index_matches_the_scan_on_user_tables(rows, texts, lang):
+    table = RuleTable.from_rows(rows)
+    for text in texts:
+        assert normalize_numeric(text, lang, table) == scan_normalize(text, lang, table)
