@@ -34,13 +34,17 @@ class Gazetteer:
 
     Construction indexes ``entries`` by first token, so each sentence
     position tries only the entries that start with its token.  The index
-    is built once: do not mutate ``entries`` afterwards.
+    is built once: do not mutate ``entries`` afterwards.  The N/T test of a
+    token is remembered per ``(token, lang)``, since corpora repeat their
+    tokens sentence after sentence.
     """
 
     entries: dict[tuple[str, ...], NeType]
     nt_rules: RuleTable = field(default_factory=default_rules)
     _by_first: dict[str, tuple[tuple[tuple[str, ...], NeType], ...]] = field(
         init=False, repr=False, compare=False)
+    _nt_memo: dict[tuple[str, str], bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_first: dict[str, list[tuple[tuple[str, ...], NeType]]] = {}
@@ -79,9 +83,12 @@ class Gazetteer:
         return cls(entries)
 
     def _is_nt_token(self, token: str, lang: str) -> bool:
-        if normalize_numeric(token, lang, self.nt_rules):
-            return True
-        return month_number(token, lang) is not None
+        is_nt = self._nt_memo.get((token, lang))
+        if is_nt is None:
+            is_nt = (bool(normalize_numeric(token, lang, self.nt_rules))
+                     or month_number(token, lang) is not None)
+            self._nt_memo[(token, lang)] = is_nt
+        return is_nt
 
     def recognize(self, sentence: Sentence, sentence_id: int, side: str) -> list[NeSpan]:
         tokens = sentence.tokens

@@ -5,6 +5,11 @@ a canonical JSON header (config, vocab characters, tensor names and shapes),
 the raw float64 little-endian tensor data in header order, and a trailing
 sha256 digest of everything before it. Canonical JSON plus fixed tensor
 order makes identical models serialize to identical bytes.
+
+The tensor data is the model's flat parameter vector as it sits in memory
+(`params.vector`, in `param_specs()` order), so saving is one `tobytes` and
+loading is one `frombuffer` over the file bytes that the model constructor
+copies into a fresh, writable vector.
 """
 
 from __future__ import annotations
@@ -39,8 +44,7 @@ def save_model(model: Seq2SeqModel, path: str) -> None:
     blob += MAGIC
     blob += _FIXED.pack(FORMAT_VERSION, len(header_bytes))
     blob += header_bytes
-    for name, _ in model.param_specs():
-        blob += np.ascontiguousarray(model.params[name], dtype="<f8").tobytes()
+    blob += model.params.vector.astype("<f8", copy=False).tobytes()
     blob += hashlib.sha256(blob).digest()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
@@ -83,11 +87,11 @@ def load_model(path: str) -> Seq2SeqModel:
     if hashlib.sha256(data[:-_DIGEST_LEN]).digest() != data[-_DIGEST_LEN:]:
         raise ChecksumError(f"{path}: checksum mismatch, file is corrupt")
 
+    flat = np.frombuffer(data, dtype="<f8", count=tensor_bytes // 8, offset=header_end)
     params = {}
-    offset = header_end
+    offset = 0
     for name, shape in tensor_specs:
         count = int(np.prod(shape, dtype=np.int64))
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        params[name] = arr.astype(np.float64).reshape(shape)
-        offset += 8 * count
-    return Seq2SeqModel(config, src_vocab, tgt_vocab, params)
+        params[name] = flat[offset:offset + count].reshape(shape)
+        offset += count
+    return Seq2SeqModel(config, src_vocab, tgt_vocab, params)  # copies the views

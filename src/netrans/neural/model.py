@@ -5,9 +5,18 @@ bidirectional gated recurrent encoder, then emits target characters from a
 gated recurrent decoder that attends over all encoder states at every step
 (additive scoring: v . tanh(W s + U h_j)).
 
-Everything is float64 numpy, batch size 1. The backward pass is written out
-by hand next to the forward pass it mirrors; `loss_and_grads` returns
-unnormalized sums so callers can weight batches however they like.
+All parameters live in one contiguous float64 vector, tensor after tensor in
+`param_specs()` order, which is also the order and dtype of the model file.
+`params[name]` is a named view into that vector (`params.vector`), and the
+gradients from `zero_grads` and `loss_and_grads` share the layout, so an
+optimizer step, a checkpoint or a save touches the whole model at once.
+Computation is batch size 1. The backward pass is written out by hand next
+to the forward pass it mirrors; `loss_and_grads` returns unnormalized sums
+so callers can weight batches however they like.
+
+Every product and sum keeps the operand order of a plain per-tensor,
+per-step implementation, so the numbers are bit-identical to it; the speed
+comes from making fewer numpy calls, not from reassociating arithmetic.
 """
 
 from __future__ import annotations
@@ -21,9 +30,12 @@ from .vocab import BOS, EOS, PAD, UNK, CharVocab
 
 # Ids the decoder must never emit. Their logits are pinned to -inf so every
 # step distribution spreads all mass over real characters plus <eos>.
-_MASKED_IDS = (BOS, UNK, PAD)
+_MASKED_IDS = [BOS, UNK, PAD]
 
 _INIT_SCALE = 0.08
+
+# the encoder's two directions, stepped together as two lanes of one _Gru
+_ENCODER = ("enc_f", "enc_b")
 
 
 @dataclass(frozen=True)
@@ -47,57 +59,130 @@ class ModelConfig:
             raise ConfigError("adadelta_eps must be positive")
 
 
+class FlatParams(dict):
+    """Named views into one contiguous float64 vector, `vector`.
+
+    Writing through a view or through the vector changes both. Update
+    tensors in place: binding a name to a new array cuts it loose.
+    """
+
+    def __init__(self, vector: np.ndarray, layout):
+        super().__init__((name, vector[start:stop].reshape(shape))
+                         for name, start, stop, shape in layout)
+        self.vector = vector
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp never overflows: the argument is -|x|
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    # Masked entries are -inf; exp(-inf) underflows cleanly to 0.
-    shifted = logits - np.max(logits)
-    return shifted - np.log(np.exp(shifted).sum())
+    """Along the last axis. Masked entries are -inf; exp(-inf) is 0."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _gru_forward(p: dict, prefix: str, x: np.ndarray, h: np.ndarray):
-    z = _sigmoid(x @ p[prefix + "_wz"] + h @ p[prefix + "_uz"] + p[prefix + "_bz"])
-    r = _sigmoid(x @ p[prefix + "_wr"] + h @ p[prefix + "_ur"] + p[prefix + "_br"])
-    rh = r * h
-    hh = np.tanh(x @ p[prefix + "_wh"] + rh @ p[prefix + "_uh"] + p[prefix + "_bh"])
-    h_new = (1.0 - z) * h + z * hh
-    return h_new, (x, h, z, r, rh, hh)
+def _gru_forward(p: dict, prefix: str, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One cell step straight from the parameter tensors (decoding)."""
+    n = h.shape[0]
+    zr = _sigmoid(np.concatenate([
+        x @ p[prefix + "_wz"] + h @ p[prefix + "_uz"] + p[prefix + "_bz"],
+        x @ p[prefix + "_wr"] + h @ p[prefix + "_ur"] + p[prefix + "_br"]]))
+    hh = np.tanh(x @ p[prefix + "_wh"] + (zr[n:] * h) @ p[prefix + "_uh"] + p[prefix + "_bh"])
+    return (1.0 - zr[:n]) * h + zr[:n] * hh
 
 
-def _gru_backward(p: dict, prefix: str, cache, d_new: np.ndarray, g: dict):
-    """Backprop one cell. Returns (d_input, d_prev_state)."""
-    x, h, z, r, rh, hh = cache
-    dz = d_new * (hh - h)
-    dhh = d_new * z
-    dh = d_new * (1.0 - z)
+class _Gru:
+    """The gated recurrent cells of a pass over whole sequences.
 
-    dph = dhh * (1.0 - hh * hh)
-    g[prefix + "_wh"] += np.outer(x, dph)
-    g[prefix + "_uh"] += np.outer(rh, dph)
-    g[prefix + "_bh"] += dph
-    dx = p[prefix + "_wh"] @ dph
-    drh = p[prefix + "_uh"] @ dph
-    dr = drh * h
-    dh += drh * r
+    One instance steps one GRU, or several in lock-step as lanes (the
+    encoder's two directions): arrays carry the lane, if any, as their
+    leading axis. The weights are stacked by lane and gate, so a step makes
+    one product per kind of weight, not one per gate and lane. Each product
+    in a stack is the same BLAS call it would be alone, so the bits do not
+    change; a product with fused [Wz|Wr|Wh] columns would change them on
+    some hidden sizes.
 
-    dpz = dz * z * (1.0 - z)
-    dpr = dr * r * (1.0 - r)
-    g[prefix + "_wz"] += np.outer(x, dpz)
-    g[prefix + "_uz"] += np.outer(h, dpz)
-    g[prefix + "_bz"] += dpz
-    g[prefix + "_wr"] += np.outer(x, dpr)
-    g[prefix + "_ur"] += np.outer(h, dpr)
-    g[prefix + "_br"] += dpr
-    dx += p[prefix + "_wz"] @ dpz + p[prefix + "_wr"] @ dpr
-    dh += p[prefix + "_uz"] @ dpz + p[prefix + "_ur"] @ dpr
-    return dx, dh
+    With `with_grads`, `backward` collects each lane's gradients in a buffer
+    laid out like that GRU's block of the flat parameter vector, with one
+    multiply-add per kind of weight and step, and `flush` copies them out.
+    Both are elementwise, so the bits stay those of per-tensor accumulation.
+    """
+
+    def __init__(self, p: dict, prefixes: tuple[str, ...], with_grads: bool = False):
+        def stacked(kind: str, gates: str) -> np.ndarray:
+            w = np.array([[p[f"{pre}_{kind}{gate}"] for gate in gates] for pre in prefixes])
+            return w[0] if len(prefixes) == 1 else w
+
+        self.w = stacked("w", "zrh")  # (lanes, 3, k, n)
+        self.u_zr = stacked("u", "zr")  # (lanes, 2, n, n)
+        self.u_h = stacked("u", "h")[..., 0, :, :]
+        self.b_zr = stacked("b", "zr")  # (lanes, 2, n)
+        self.b_h = stacked("b", "h")[..., 0, :]
+        k, n = self.w.shape[-2:]
+        self.n = n
+        if with_grads:
+            # per lane and gate: W rows, then U rows, then the bias row
+            self.acc = np.zeros(self.w.shape[:-3] + (k + n + 1, 3 * n))
+            self.g_w = self.acc[..., :k, :]
+            self.g_u_zr = self.acc[..., k:k + n, :2 * n]
+            self.g_uh = self.acc[..., k:k + n, 2 * n:]
+            self.g_b = self.acc[..., k + n, :]
+
+    def inputs(self, xs: np.ndarray) -> np.ndarray:
+        """Input products x W of every step at once: (steps, lanes, 3, n).
+
+        xs holds one row per step (and lane). A stack of row-vector products
+        gives the same bits as one product per row, which a plain matrix
+        product xs @ W does not.
+        """
+        return (xs[..., None, None, :] @ self.w)[..., 0, :]
+
+    def forward(self, x: np.ndarray, h: np.ndarray, xw: np.ndarray | None = None):
+        """One step; xw is x's row of `inputs` when precomputed."""
+        if xw is None:
+            xw = self.inputs(x)
+        zr = _sigmoid(xw[..., :2, :] + (h[..., None, None, :] @ self.u_zr)[..., 0, :] + self.b_zr)
+        keep = 1.0 - zr  # 1 - z, and 1 - r for the backward pass
+        rh = zr[..., 1, :] * h
+        hh = np.tanh(xw[..., 2, :] + (rh[..., None, :] @ self.u_h)[..., 0, :] + self.b_h)
+        return keep[..., 0, :] * h + zr[..., 0, :] * hh, (x, h, zr, keep, rh, hh)
+
+    def backward(self, cache, d_new: np.ndarray):
+        """Backprop one step. Returns (d_input, d_prev_state)."""
+        x, h, zr, keep, rh, hh = cache
+        n = self.n
+        dph = d_new * zr[..., 0, :] * (1.0 - hh * hh)
+        drh = (self.u_h @ dph[..., None])[..., 0]
+        dp_zr = np.stack([d_new * (hh - h), drh * h], axis=-2) * zr * keep
+        dp = np.concatenate([dp_zr, dph[..., None, :]], axis=-2)  # dpz, dpr, dph
+        dp_flat = dp.reshape(dp.shape[:-2] + (3 * n,))
+
+        self.g_w += x[..., :, None] * dp_flat[..., None, :]
+        self.g_u_zr += h[..., :, None] * dp_flat[..., None, :2 * n]
+        self.g_uh += rh[..., :, None] * dph[..., None, :]
+        self.g_b += dp_flat
+
+        dxs = (self.w @ dp[..., None])[..., 0]
+        dx = dxs[..., 2, :] + (dxs[..., 0, :] + dxs[..., 1, :])
+        dhs = (self.u_zr @ dp_zr[..., None])[..., 0]
+        dh = d_new * keep[..., 0, :]
+        dh += drh * zr[..., 1, :]
+        dh += dhs[..., 0, :] + dhs[..., 1, :]
+        return dx, dh
+
+    def flush(self, blocks: list[np.ndarray]) -> None:
+        """Copy the collected gradients into each lane's flat block.
+
+        A block holds its gates one after another (param_specs order), each
+        as k + n + 1 rows of n: W, then U, then b.
+        """
+        n = self.n
+        acc = self.acc.reshape((len(blocks),) + self.acc.shape[-2:])
+        for block, lane in zip(blocks, acc):
+            block.reshape(3, -1, n)[...] = lane.reshape(-1, 3, n).transpose(1, 0, 2)
 
 
 def _gru_specs(prefix: str, in_size: int, hidden: int) -> list[tuple[str, tuple]]:
@@ -117,11 +202,22 @@ class Seq2SeqModel:
         self.config = config
         self.src_vocab = src_vocab
         self.tgt_vocab = tgt_vocab
+        layout = []
+        start = 0
+        for name, shape in self.param_specs():
+            stop = start + int(np.prod(shape))
+            layout.append((name, start, stop, shape))
+            start = stop
+        # (name, start, stop, shape) per tensor, in param_specs() order
+        self.layout = tuple(layout)
+        self._spans = {name: (start, stop) for name, start, stop, _ in layout}
+        self.params = self.zero_grads()
         if params is None:
-            params = self._init_params()
+            self._init_params()
         else:
             self._check_shapes(params)
-        self.params = params
+            for name, view in self.params.items():
+                view[...] = params[name]
 
     # -- parameter bookkeeping ------------------------------------------
 
@@ -150,16 +246,11 @@ class Seq2SeqModel:
         ]
         return specs
 
-    def _init_params(self) -> dict[str, np.ndarray]:
+    def _init_params(self) -> None:
         rng = np.random.default_rng(self.config.seed)
-        params = {}
-        for name, shape in self.param_specs():
-            last = name.rsplit("_", 1)[-1]
-            if last.startswith("b"):
-                params[name] = np.zeros(shape)
-            else:
-                params[name] = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=shape)
-        return params
+        for name, view in self.params.items():
+            if not name.rsplit("_", 1)[-1].startswith("b"):
+                view[...] = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=view.shape)
 
     def _check_shapes(self, params: dict[str, np.ndarray]) -> None:
         specs = dict(self.param_specs())
@@ -172,17 +263,27 @@ class Seq2SeqModel:
                 raise ShapeError(
                     f"{name}: expected shape {shape}, got {params[name].shape}")
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros(shape) for name, shape in self.param_specs()}
+    def _gru_block(self, g: FlatParams, prefix: str) -> np.ndarray:
+        """One GRU's tensors in g's flat vector, from `{prefix}_wz` to `{prefix}_bh`."""
+        return g.vector[self._spans[prefix + "_wz"][0]:self._spans[prefix + "_bh"][1]]
+
+    def zero_grads(self) -> FlatParams:
+        return FlatParams(np.zeros(self.layout[-1][2]), self.layout)
 
     # -- encoder ---------------------------------------------------------
 
     def encode(self, src_ids) -> np.ndarray:
         """Encoder states, one row of width 2*hidden per source position."""
-        enc, _, _ = self._encode_cached(src_ids)
+        enc, _ = self._encode(src_ids, _Gru(self.params, _ENCODER))
         return enc
 
-    def _encode_cached(self, src_ids):
+    def _encode(self, src_ids, gru: _Gru):
+        """(encoder states, step caches).
+
+        The two directions run in lock-step as the two lanes of `gru`: at
+        step i the forward lane reads position i and the backward lane
+        position m - 1 - i.
+        """
         src_ids = list(src_ids)
         if not src_ids:
             raise DegenerateInputError("cannot encode an empty source sequence")
@@ -190,50 +291,35 @@ class Seq2SeqModel:
         for i in src_ids:
             if not 0 <= i < n_src:
                 raise VocabError(f"source id {i} outside vocabulary of size {n_src}")
-        p = self.params
+        m = len(src_ids)
+        xs = self.params["src_emb"][src_ids]
+        xs = np.stack([xs, xs[::-1]], axis=1)
+        xws = gru.inputs(xs)
+        states = np.empty((m, 2, self.config.hidden_size))
+        caches = []
+        h = np.zeros(states.shape[1:])
+        for i in range(m):
+            h, cache = gru.forward(xs[i], h, xws[i])
+            states[i] = h
+            caches.append(cache)
+        return np.concatenate([states[:, 0], states[::-1, 1]], axis=1), caches
+
+    def _encoder_backward(self, src_ids, gru: _Gru, caches, d_enc: np.ndarray,
+                          g: FlatParams) -> None:
         h_size = self.config.hidden_size
         m = len(src_ids)
-        xs = [p["src_emb"][i] for i in src_ids]
-
-        fwd = np.zeros((m, h_size))
-        caches_f = []
-        h = np.zeros(h_size)
-        for t in range(m):
-            h, cache = _gru_forward(p, "enc_f", xs[t], h)
-            fwd[t] = h
-            caches_f.append(cache)
-
-        bwd = np.zeros((m, h_size))
-        caches_b: list = [None] * m
-        h = np.zeros(h_size)
-        for t in range(m - 1, -1, -1):
-            h, cache = _gru_forward(p, "enc_b", xs[t], h)
-            bwd[t] = h
-            caches_b[t] = cache
-
-        return np.concatenate([fwd, bwd], axis=1), caches_f, caches_b
-
-    def _encoder_backward(self, src_ids, caches_f, caches_b,
-                          d_enc: np.ndarray, g: dict) -> None:
-        p = self.params
-        h_size = self.config.hidden_size
-        m = len(src_ids)
+        # each lane's state gradients in its own step order
+        d_states = np.stack([d_enc[:, :h_size], d_enc[::-1, h_size:]], axis=1)
+        d_xs = np.empty((m, 2, self.config.embed_size))
+        carry = np.zeros((2, h_size))
+        for i in range(m - 1, -1, -1):
+            carry = carry + d_states[i]
+            d_xs[i], carry = gru.backward(caches[i], carry)
+        # the forward direction's input gradient first, then the backward's
         dxs = np.zeros((m, self.config.embed_size))
-
-        carry = np.zeros(h_size)
-        for t in range(m - 1, -1, -1):
-            carry = carry + d_enc[t, :h_size]
-            dx, carry = _gru_backward(p, "enc_f", caches_f[t], carry, g)
-            dxs[t] += dx
-
-        carry = np.zeros(h_size)
-        for t in range(m):
-            carry = carry + d_enc[t, h_size:]
-            dx, carry = _gru_backward(p, "enc_b", caches_b[t], carry, g)
-            dxs[t] += dx
-
-        for t, i in enumerate(src_ids):
-            g["src_emb"][i] += dxs[t]
+        dxs += d_xs[:, 0]
+        dxs += d_xs[::-1, 1]
+        np.add.at(g["src_emb"], src_ids, dxs)
 
     # -- attention ---------------------------------------------------------
 
@@ -259,19 +345,19 @@ class Seq2SeqModel:
         e = np.exp(scores - scores.max())
         weights = e / e.sum()
         ctx = weights @ enc
-        return weights, ctx, (s_prev, enc, t, weights)
+        return weights, ctx, (s_prev, t, weights)
 
-    def _attention_backward(self, cache, d_ctx, g):
+    def _attention_backward(self, cache, enc, d_ctx, g: FlatParams):
         """Returns (d_decoder_state, d_enc_direct, d_att_enc)."""
         p = self.params
-        s_prev, enc, t, weights = cache
+        s_prev, t, weights = cache
         d_weights = enc @ d_ctx
-        d_enc = np.outer(weights, d_ctx)
+        d_enc = weights[:, None] * d_ctx
         de = weights * (d_weights - weights @ d_weights)  # softmax jacobian
         g["att_v"] += t.T @ de
-        d_pre = np.outer(de, p["att_v"]) * (1.0 - t * t)
+        d_pre = de[:, None] * p["att_v"] * (1.0 - t * t)
         dq = d_pre.sum(axis=0)
-        g["att_w"] += np.outer(s_prev, dq)
+        g["att_w"] += s_prev[:, None] * dq
         d_state = p["att_w"] @ dq
         return d_state, d_enc, d_pre
 
@@ -283,48 +369,15 @@ class Seq2SeqModel:
     def step(self, s_prev: np.ndarray, y_prev: int, enc: np.ndarray,
              att_enc: np.ndarray | None = None):
         """One decode step. Returns (log-probs over target vocab, new state)."""
+        p = self.params
         if att_enc is None:
-            att_enc = enc @ self.params["att_u"]
-        logp, s_new, _ = self._step_forward(s_prev, y_prev, enc, att_enc)
-        return logp, s_new
-
-    def _step_forward(self, s_prev, y_prev, enc, att_enc):
-        p = self.params
+            att_enc = enc @ p["att_u"]
         emb = p["tgt_emb"][y_prev]
-        weights, ctx, att_cache = self._attention_forward(s_prev, enc, att_enc)
-        x = np.concatenate([emb, ctx])
-        s_new, gru_cache = _gru_forward(p, "dec", x, s_prev)
-        o = np.concatenate([s_new, ctx, emb])
-        logits = o @ p["out_w"] + p["out_b"]
-        logits[list(_MASKED_IDS)] = -np.inf
-        logp = _log_softmax(logits)
-        cache = (y_prev, att_cache, gru_cache, o, logp)
-        return logp, s_new, cache
-
-    def _step_backward(self, cache, y_out, ds_carry, g):
-        """Returns (d_prev_state, d_enc_direct, d_att_enc) for one step."""
-        p = self.params
-        h_size = self.config.hidden_size
-        e_size = self.config.embed_size
-        y_prev, att_cache, gru_cache, o, logp = cache
-
-        d_logits = np.exp(logp)  # softmax probabilities; masked ids hold 0
-        d_logits[y_out] -= 1.0
-        g["out_w"] += np.outer(o, d_logits)
-        g["out_b"] += d_logits
-        do = p["out_w"] @ d_logits
-
-        ds_new = do[:h_size] + ds_carry
-        d_ctx = do[h_size:3 * h_size].copy()
-        d_emb = do[3 * h_size:].copy()
-
-        dx, ds_prev = _gru_backward(p, "dec", gru_cache, ds_new, g)
-        d_emb += dx[:e_size]
-        d_ctx += dx[e_size:]
-
-        d_state, d_enc, d_att_enc = self._attention_backward(att_cache, d_ctx, g)
-        g["tgt_emb"][y_prev] += d_emb
-        return ds_prev + d_state, d_enc, d_att_enc
+        _, ctx, _ = self._attention_forward(s_prev, enc, att_enc)
+        s_new = _gru_forward(p, "dec", np.concatenate([emb, ctx]), s_prev)
+        logits = np.concatenate([s_new, ctx, emb]) @ p["out_w"] + p["out_b"]
+        logits[_MASKED_IDS] = -np.inf
+        return _log_softmax(logits), s_new
 
     # -- scoring -----------------------------------------------------------
 
@@ -361,42 +414,84 @@ class Seq2SeqModel:
     def loss_and_grads(self, src_ids, tgt_ids):
         """Teacher-forced NLL of tgt_ids + <eos> given src_ids.
 
-        Returns (nll_sum, n_steps, grads) where grads holds d nll_sum / d θ
-        for every parameter. Callers divide by whatever step count defines
-        their batch mean.
+        Returns (nll_sum, n_steps, grads) where grads is a FlatParams holding
+        d nll_sum / d θ for every parameter. Target steps on <unk> are fed
+        to the decoder but not scored, as in `train.loss_on`: they add no
+        loss, no output gradient and no step to n_steps. Callers divide by
+        whatever step count defines their batch mean.
         """
         src_ids = list(src_ids)
         out_ids = list(tgt_ids) + [EOS]
         p = self.params
+        g = self.zero_grads()
+        h_size = self.config.hidden_size
+        e_size = self.config.embed_size
+        out_w = p["out_w"]
+        gru_e = _Gru(p, _ENCODER, with_grads=True)
+        gru_d = _Gru(p, ("dec",), with_grads=True)
 
-        enc, caches_f, caches_b = self._encode_cached(src_ids)
+        enc, enc_caches = self._encode(src_ids, gru_e)
         att_enc = enc @ p["att_u"]
-        init_pre = enc[0] @ p["init_w"] + p["init_b"]
-        s = np.tanh(init_pre)
+        s = np.tanh(enc[0] @ p["init_w"] + p["init_b"])
         s0 = s
 
-        nll = 0.0
+        # teacher forcing: the recurrence never reads the output layer, so
+        # the per-step outputs o = [s, ctx, emb] are stacked and projected
+        # after the loop, one row per step
+        n_out = len(out_ids)
+        y_prevs = [BOS] + out_ids[:-1]
+        outs = np.empty((n_out, 3 * h_size + e_size))
+        outs[:, 3 * h_size:] = p["tgt_emb"][y_prevs]
         step_caches = []
-        y_prev = BOS
-        for y in out_ids:
-            logp, s, cache = self._step_forward(s, y_prev, enc, att_enc)
-            nll -= logp[y]
-            step_caches.append(cache)
-            y_prev = y
+        for t in range(n_out):
+            emb = outs[t, 3 * h_size:]
+            _, ctx, att_cache = self._attention_forward(s, enc, att_enc)
+            s, gru_cache = gru_d.forward(np.concatenate([emb, ctx]), s)
+            outs[t, :h_size] = s
+            outs[t, h_size:3 * h_size] = ctx
+            step_caches.append((att_cache, gru_cache))
 
-        g = self.zero_grads()
+        logits = (outs[:, None, :] @ out_w)[:, 0] + p["out_b"]
+        logits[:, _MASKED_IDS] = -np.inf
+        logp = _log_softmax(logits)
+        rows = np.arange(n_out)
+        scored = [y != UNK for y in out_ids]
+        nll = 0.0
+        for v in (-logp[rows, out_ids])[scored].tolist():
+            nll += v
+        d_logits = np.exp(logp)  # softmax probabilities; masked ids hold 0
+        d_logits[rows, out_ids] -= 1.0
+        d_logits[np.logical_not(scored)] = 0.0
+        # each step's outer product o ⊗ d_logits, summed onto the zero
+        # gradient in the backward loop's order, last step first; computed
+        # transposed, which makes fewer and longer rows
+        prods = np.empty((n_out + 1, len(self.tgt_vocab), outs.shape[1]))
+        prods[0] = 0.0
+        np.multiply(d_logits[::-1, :, None], outs[::-1, None, :], out=prods[1:])
+        g["out_w"][...] = np.add.reduce(prods, axis=0).T
+        g["out_b"][...] = np.add.reduce(np.concatenate(
+            [g["out_b"][None], d_logits[::-1]]), axis=0)
+        d_outs = (d_logits[:, None, :] @ out_w.T)[:, 0]
+
         m = len(src_ids)
-        d_enc = np.zeros((m, 2 * self.config.hidden_size))
-        d_att_enc = np.zeros((m, self.config.hidden_size))
-        ds = np.zeros(self.config.hidden_size)
-        for cache, y in zip(reversed(step_caches), reversed(out_ids)):
-            ds, d_enc_step, d_att_step = self._step_backward(cache, y, ds, g)
+        d_enc = np.zeros((m, 2 * h_size))
+        d_att_enc = np.zeros((m, h_size))
+        ds = np.zeros(h_size)
+        g_tgt = g["tgt_emb"]
+        for t in range(n_out - 1, -1, -1):
+            att_cache, gru_cache = step_caches[t]
+            do = d_outs[t]
+            dx, ds_prev = gru_d.backward(gru_cache, do[:h_size] + ds)
+            d_state, d_enc_step, d_att_step = self._attention_backward(
+                att_cache, enc, do[h_size:3 * h_size] + dx[e_size:], g)
+            g_tgt[y_prevs[t]] += do[3 * h_size:] + dx[:e_size]
+            ds = ds_prev + d_state
             d_enc += d_enc_step
             d_att_enc += d_att_step
 
         # initial decoder state projection
         d_pre = ds * (1.0 - s0 * s0)
-        g["init_w"] += np.outer(enc[0], d_pre)
+        g["init_w"] += enc[0][:, None] * d_pre
         g["init_b"] += d_pre
         d_enc[0] += p["init_w"] @ d_pre
 
@@ -404,5 +499,7 @@ class Seq2SeqModel:
         d_enc += d_att_enc @ p["att_u"].T
         g["att_u"] += enc.T @ d_att_enc
 
-        self._encoder_backward(src_ids, caches_f, caches_b, d_enc, g)
-        return float(nll), len(out_ids), g
+        self._encoder_backward(src_ids, gru_e, enc_caches, d_enc, g)
+        gru_e.flush([self._gru_block(g, prefix) for prefix in _ENCODER])
+        gru_d.flush([self._gru_block(g, "dec")])
+        return float(nll), sum(scored), g

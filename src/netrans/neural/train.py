@@ -8,7 +8,7 @@ import numpy as np
 
 from ..core import NePair
 from ..errors import ConfigError, DivergenceError
-from .model import ModelConfig, Seq2SeqModel
+from .model import FlatParams, ModelConfig, Seq2SeqModel
 from .vocab import BOS, EOS, UNK, CharVocab
 
 S2T = "s2t"
@@ -35,7 +35,15 @@ def make_model(pairs: Sequence[NePair], direction: str, config: ModelConfig) -> 
 
 
 class AdaDelta:
-    """Per-parameter accumulator update (Zeiler 2012) with a global rate."""
+    """Per-parameter accumulator update (Zeiler 2012) with a global rate.
+
+    The gradient, the two accumulators and the parameters are whole flat
+    vectors, updated with 18 ufunc calls that write into scratch vectors
+    allocated once. Every expression keeps the operand order of the
+    textbook form, e.g. (1 - rho) * g * g is ((1 - rho) * g) * g: that order,
+    not just the formula, is what keeps the trained parameters bit-identical
+    to a per-tensor implementation.
+    """
 
     def __init__(self, model: Seq2SeqModel):
         cfg = model.config
@@ -43,21 +51,38 @@ class AdaDelta:
         self.rho = cfg.adadelta_rho
         self.eps = cfg.adadelta_eps
         self.lr = cfg.learning_rate
-        self.sq_grad = model.zero_grads()
-        self.sq_delta = model.zero_grads()
+        size = model.params.vector.size
+        self.sq_grad = np.zeros(size)
+        self.sq_delta = np.zeros(size)
+        self._g = np.empty(size)
+        self._delta = np.empty(size)
+        self._tmp = np.empty(size)
 
-    def update(self, grads: dict[str, np.ndarray], scale: float = 1.0) -> None:
+    def update(self, grads: FlatParams, scale: float = 1.0) -> None:
         rho, eps = self.rho, self.eps
-        for name, raw in grads.items():
-            g = raw * scale
-            eg = self.sq_grad[name]
-            ex = self.sq_delta[name]
-            eg *= rho
-            eg += (1.0 - rho) * g * g
-            delta = -np.sqrt(ex + eps) / np.sqrt(eg + eps) * g
-            ex *= rho
-            ex += (1.0 - rho) * delta * delta
-            self.model.params[name] += self.lr * delta
+        g, delta, tmp = self._g, self._delta, self._tmp
+        eg, ex = self.sq_grad, self.sq_delta
+        np.multiply(grads.vector, scale, out=g)
+        # eg = rho * eg + (1 - rho) * g * g
+        eg *= rho
+        np.multiply(1.0 - rho, g, out=tmp)
+        tmp *= g
+        eg += tmp
+        # delta = -sqrt(ex + eps) / sqrt(eg + eps) * g
+        np.add(ex, eps, out=delta)
+        np.sqrt(delta, out=delta)
+        np.negative(delta, out=delta)
+        np.add(eg, eps, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        delta /= tmp
+        delta *= g
+        # ex = rho * ex + (1 - rho) * delta * delta
+        ex *= rho
+        np.multiply(1.0 - rho, delta, out=tmp)
+        tmp *= delta
+        ex += tmp
+        np.multiply(self.lr, delta, out=tmp)
+        self.model.params.vector += tmp
 
 
 def _pair_nll(model: Seq2SeqModel, src_ids: list[int], out_ids: list[int]) -> tuple[float, int]:
@@ -114,7 +139,8 @@ def train(pairs: Sequence[NePair], direction: str, config: ModelConfig,
 
     opt = AdaDelta(model)
     rng = np.random.default_rng(config.seed)
-    best = {name: p.copy() for name, p in model.params.items()}
+    theta = model.params.vector
+    best = theta.copy()
     best_loss = np.inf
     bad_epochs = 0
 
@@ -142,14 +168,14 @@ def train(pairs: Sequence[NePair], direction: str, config: ModelConfig,
 
         if monitored < best_loss:
             best_loss = monitored
-            best = {name: p.copy() for name, p in model.params.items()}
+            np.copyto(best, theta)
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= patience:
                 break
 
-    model.params = best
+    np.copyto(theta, best)
     return model
 
 
@@ -157,23 +183,22 @@ def gradient_check(model: Seq2SeqModel, texts: Sequence[tuple[str, str]],
                    eps: float = 1e-4) -> dict[str, float]:
     """Max relative error between analytic and central-difference gradients.
 
-    Covers every parameter tensor elementwise; the batch loss is the mean
+    Covers every parameter elementwise, walking the flat parameter vector;
+    the report is keyed by tensor name. The batch loss is the mean
     per-character NLL over `texts`. Relative error for one element is
     |ga - gn| / max(|ga| + |gn|, 1e-6).
     """
     encoded = [(model.src_vocab.encode(inp), model.tgt_vocab.encode(out))
                for inp, out in texts]
 
-    total = model.zero_grads()
-    nll_sum = 0.0
+    theta = model.params.vector
+    total = np.zeros_like(theta)
     steps_sum = 0
     for src_ids, tgt_ids in encoded:
-        nll, steps, grads = model.loss_and_grads(src_ids, tgt_ids)
-        nll_sum += nll
+        _, steps, grads = model.loss_and_grads(src_ids, tgt_ids)
         steps_sum += steps
-        for name in total:
-            total[name] += grads[name]
-    analytic = {name: g / steps_sum for name, g in total.items()}
+        total += grads.vector
+    analytic = total / steps_sum
 
     def batch_loss() -> float:
         acc = 0.0
@@ -183,23 +208,19 @@ def gradient_check(model: Seq2SeqModel, texts: Sequence[tuple[str, str]],
         return acc / steps_sum
 
     report: dict[str, float] = {}
-    for name, _ in model.param_specs():
-        tensor = model.params[name]
+    for name, start, stop, _ in model.layout:
         worst = 0.0
-        it = np.nditer(tensor, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            saved = tensor[idx]
-            tensor[idx] = saved + eps
+        for i in range(start, stop):
+            saved = theta[i]
+            theta[i] = saved + eps
             up = batch_loss()
-            tensor[idx] = saved - eps
+            theta[i] = saved - eps
             down = batch_loss()
-            tensor[idx] = saved
+            theta[i] = saved
             numeric = (up - down) / (2.0 * eps)
-            ga = analytic[name][idx]
+            ga = analytic[i]
             err = abs(ga - numeric) / max(abs(ga) + abs(numeric), 1e-6)
             if err > worst:
                 worst = err
-            it.iternext()
         report[name] = worst
     return report

@@ -3,6 +3,8 @@ import pickle
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netrans import simdist, synth
 from netrans.align import (
@@ -361,3 +363,56 @@ def test_alignment_file_rejects_bad_rows(tmp_path):
     path.write_text("0\t0\t1\t0\t2\tLOC\t0.9\tsideways\n", encoding="utf-8")
     with pytest.raises(ParseError, match="direction"):
         read_alignments(path)
+
+
+# -- one link per token ---------------------------------------------------------
+
+SRC_TOKENS = ["波林", "安娜", "北京", "3", "五", "十月", "的"]
+TGT_TOKENS = ["bolin", "anna", "beijing", "3", "five", "october", "the", "bo", "lin"]
+
+
+@st.composite
+def spans_on(draw, sentence: Sentence, side: str):
+    """1-4 in-bounds, non-overlapping typed spans sorted by start, as a recognizer gives."""
+    n = len(sentence.tokens)
+    starts = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)))
+    spans = []
+    for i, start in enumerate(starts):
+        limit = starts[i + 1] if i + 1 < len(starts) else n
+        end = draw(st.integers(start + 1, limit))
+        ne_type = draw(st.sampled_from([NeType.PER, NeType.LOC, NeType.NT]))
+        spans.append(NeSpan(0, side, start, end, ne_type).with_surface(sentence))
+    return spans
+
+
+def table_for(draw, spans, vocab):
+    """A translator table: each PER/LOC surface gets 1-3 scored candidates
+    made of the other sentence's tokens, so that spans compete for them."""
+    phrase = st.lists(st.sampled_from(vocab), min_size=1, max_size=2).map(" ".join)
+    return DictTranslator({
+        s.surface: draw(st.lists(st.tuples(phrase, st.floats(-9.0, 0.0)),
+                                 min_size=1, max_size=3))
+        for s in spans if s.ne_type is not NeType.NT})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       src=st.lists(st.sampled_from(SRC_TOKENS), min_size=2, max_size=7),
+       tgt=st.lists(st.sampled_from(TGT_TOKENS), min_size=2, max_size=7),
+       threshold=st.sampled_from([0.3, 0.6, 1.0]),
+       max_ngram=st.integers(1, 3),
+       directions=st.sampled_from(["both", "s2t", "t2s"]))
+def test_no_token_is_linked_twice(data, src, tgt, threshold, max_ngram, directions):
+    p = pair(0, src, tgt)
+    src_spans = data.draw(spans_on(p.src, "source"))
+    tgt_spans = data.draw(spans_on(p.tgt, "target"))
+    cfg = AlignConfig(sim_threshold=threshold, max_ngram=max_ngram, directions=directions)
+    links = align_sentence_pair(p, src_spans, tgt_spans, cfg,
+                                table_for(data.draw, src_spans, tgt),
+                                table_for(data.draw, tgt_spans, src))
+    src_used = Counter(i for a in links for i in range(a.src_start, a.src_end))
+    tgt_used = Counter(i for a in links for i in range(a.tgt_start, a.tgt_end))
+    assert all(count == 1 for count in src_used.values())
+    assert all(count == 1 for count in tgt_used.values())
+    assert all(0 <= a.src_start < a.src_end <= len(src) for a in links)
+    assert all(0 <= a.tgt_start < a.tgt_end <= len(tgt) for a in links)

@@ -103,3 +103,28 @@ def test_each_uncovered_token_is_tested_for_nt_once(monkeypatch):
     assert [(s.start, s.end, s.ne_type) for s in spans] == [
         (0, 1, NeType.LOC), (1, 3, NeType.NT), (4, 5, NeType.NT)]
     assert seen == ["十月", "五", "日", "3", "会议"]
+
+
+def test_nt_test_is_memoized_per_token_and_language(monkeypatch):
+    seen = []
+    real = netrans.ner.normalize_numeric
+
+    def counting(token, lang, table=None):
+        seen.append((token, lang))
+        return real(token, lang, table)
+
+    monkeypatch.setattr(netrans.ner, "normalize_numeric", counting)
+    gaz = Gazetteer({("纽约",): NeType.LOC})
+    zh = Sentence(("纽约", "十月", "五", "日", "3", "会议"), "zh")
+    en = Sentence(("3", "October", "3"), "en")
+    first = [gaz.recognize(s, i, "source") for i, s in enumerate([zh, en])]
+    for _ in range(3):
+        again = [gaz.recognize(s, i, "source") for i, s in enumerate([zh, en])]
+        assert again == first
+    assert seen == [("十月", "zh"), ("五", "zh"), ("日", "zh"), ("3", "zh"), ("会议", "zh"),
+                    ("3", "en"), ("October", "en")]
+    # the memo is per gazetteer and takes no part in equality
+    fresh = Gazetteer({("纽约",): NeType.LOC})
+    assert fresh == gaz
+    fresh.recognize(en, 1, "source")
+    assert seen[-2:] == [("3", "en"), ("October", "en")] and len(seen) == 9

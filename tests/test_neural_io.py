@@ -10,7 +10,8 @@ from netrans.errors import (
     TruncatedModelError,
     VersionError,
 )
-from netrans.neural import ModelConfig, S2T, load_model, make_model, save_model
+from netrans.neural import ModelConfig, S2T, Seq2SeqModel, load_model, make_model, save_model
+from trainer_oracle import oracle_model_bytes
 
 MAGIC_LEN = 8
 FIXED_HEADER = MAGIC_LEN + struct.calcsize("<II")
@@ -41,6 +42,24 @@ def test_loaded_parameters_are_writable(saved):
     back = load_model(str(path))
     back.params["att_v"][0] = 123.0  # frombuffer views would explode here
     assert back.params["att_v"][0] == 123.0
+
+
+def test_loaded_parameters_do_not_alias_the_file_bytes(saved):
+    _, path = saved
+    vector = load_model(str(path)).params.vector
+    assert vector.flags.owndata and vector.flags.writeable
+
+
+def test_save_bytes_match_the_per_tensor_layout_for_non_contiguous_params(saved, tmp_path):
+    model, _ = saved
+    # every tensor a transposed (non-contiguous) view of its own buffer
+    params = {name: np.ascontiguousarray(model.params[name].T).T
+              for name, _ in model.param_specs()}
+    assert not all(p.flags.c_contiguous for p in params.values())
+    rebuilt = Seq2SeqModel(model.config, model.src_vocab, model.tgt_vocab, params)
+    path = tmp_path / "rebuilt.bin"
+    save_model(rebuilt, str(path))
+    assert path.read_bytes() == oracle_model_bytes(model, params)
 
 
 def test_save_is_byte_deterministic(saved, tmp_path):

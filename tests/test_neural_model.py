@@ -99,6 +99,51 @@ def test_model_rejects_wrong_shaped_params():
         Seq2SeqModel(m.config, m.src_vocab, m.tgt_vocab, bad)
 
 
+def test_params_are_views_into_one_vector_in_spec_order():
+    m = tiny_model()
+    vector = m.params.vector
+    assert vector.dtype == np.float64 and vector.flags.c_contiguous
+    offset = 0
+    for name, shape in m.param_specs():
+        view = m.params[name]
+        assert view.base is vector, name
+        start = (view.__array_interface__["data"][0]
+                 - vector.__array_interface__["data"][0]) // vector.itemsize
+        assert start == offset, name
+        offset += view.size
+    assert offset == vector.size
+    assert list(m.params) == [name for name, _ in m.param_specs()]
+
+
+def test_writes_through_the_vector_are_visible_by_name():
+    m = tiny_model()
+    m.params.vector[:] = 0.0
+    assert not any(t.any() for t in m.params.values())
+    name, start, _, _ = m.layout[3]
+    m.params.vector[start] = 5.0
+    assert m.params[name].flat[0] == 5.0
+    m.params["out_b"][-1] = 7.0
+    assert m.params.vector[-1] == 7.0
+
+
+def test_gradients_share_the_parameter_layout():
+    m = tiny_model()
+    grads = m.zero_grads()
+    assert grads.vector.shape == m.params.vector.shape and not grads.vector.any()
+    assert not np.shares_memory(grads.vector, m.params.vector)
+    for name, view in grads.items():
+        assert view.base is grads.vector and view.shape == m.params[name].shape
+
+
+def test_model_copies_the_params_it_is_given():
+    m = tiny_model()
+    given = {k: v.copy() for k, v in m.params.items()}
+    copy = Seq2SeqModel(m.config, m.src_vocab, m.tgt_vocab, given)
+    given["att_v"][:] = 99.0
+    assert not (copy.params["att_v"] == 99.0).any()
+    assert np.array_equal(copy.params.vector, m.params.vector)
+
+
 # -- encoder -------------------------------------------------------------------
 
 

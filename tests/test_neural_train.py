@@ -10,12 +10,14 @@ from netrans.neural import (
     S2T,
     Seq2SeqModel,
     T2S,
+    UNK,
     gradient_check,
     loss_on,
     make_model,
     oriented,
     train,
 )
+from netrans.neural.train import _pair_nll
 
 PAIRS = [
     NePair("巴林", "balin", NeType.LOC),
@@ -99,6 +101,21 @@ def test_gradients_match_finite_differences():
     model = make_model(pairs, S2T, config)
     report = gradient_check(model, oriented(pairs, S2T), eps=1e-4)
     assert set(report) == set(model.params)
+    worst = max(report.values())
+    assert worst <= 1e-3, f"worst relative error {worst:.3e}"
+
+
+def test_unknown_target_chars_are_skipped_like_the_dev_loss():
+    config = ModelConfig(hidden_size=8, embed_size=8, seed=5)
+    model = make_model(PAIRS, S2T, config)
+    src_ids = model.src_vocab.encode("巴林")
+    tgt_ids = model.tgt_vocab.encode("baQin")  # Q is not in the target vocab
+    assert UNK in tgt_ids
+    nll, steps, _ = model.loss_and_grads(src_ids, tgt_ids)
+    assert np.isfinite(nll)
+    assert (nll, steps) == _pair_nll(model, src_ids, tgt_ids + [EOS])
+    assert steps == len("baQin")  # <eos> scored, the unknown step not
+    report = gradient_check(model, [("巴林", "baQin"), ("克安", "kean")], eps=1e-4)
     worst = max(report.values())
     assert worst <= 1e-3, f"worst relative error {worst:.3e}"
 
