@@ -24,6 +24,8 @@ def translate(model: Seq2SeqModel, src: str, beam_width: int = 5,
     """
     if beam_width < 1:
         raise ConfigError(f"beam_width must be >= 1, got {beam_width}")
+    if max_len is not None and max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
     if not src:
         raise DegenerateInputError("cannot translate an empty source string")
     if max_len is None:

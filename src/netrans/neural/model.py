@@ -10,17 +10,26 @@ All parameters live in one contiguous float64 vector, tensor after tensor in
 `params[name]` is a named view into that vector (`params.vector`), and the
 gradients from `zero_grads` and `loss_and_grads` share the layout, so an
 optimizer step, a checkpoint or a save touches the whole model at once.
+
+One GRU cell, `_Gru`, serves training, encoding and decoding. Its weights
+are views of its GRU's block of the parameter vector (the encoder's two
+directions are two lanes of one cell), and in training its gradients are
+views of the same block of the gradient vector; nothing is copied in or
+out. Update parameters in place, as the optimizer and the best-checkpoint
+restore do, and every cell sees the change; rebinding a tensor or the
+vector cuts it loose.
+
 Computation is batch size 1. The backward pass is written out by hand next
 to the forward pass it mirrors; `loss_and_grads` returns unnormalized sums
-so callers can weight batches however they like.
-
-Every product and sum keeps the operand order of a plain per-tensor,
-per-step implementation, so the numbers are bit-identical to it; the speed
-comes from making fewer numpy calls, not from reassociating arithmetic.
+so callers can weight batches however they like. Every product and sum
+keeps the operand order of a plain per-tensor, per-step implementation, so
+the numbers are bit-identical to it; the speed comes from making fewer
+numpy calls, not from reassociating arithmetic.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +42,6 @@ from .vocab import BOS, EOS, PAD, UNK, CharVocab
 _MASKED_IDS = [BOS, UNK, PAD]
 
 _INIT_SCALE = 0.08
-
-# the encoder's two directions, stepped together as two lanes of one _Gru
-_ENCODER = ("enc_f", "enc_b")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -84,52 +89,56 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _gru_forward(p: dict, prefix: str, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One cell step straight from the parameter tensors (decoding)."""
-    n = h.shape[0]
-    zr = _sigmoid(np.concatenate([
-        x @ p[prefix + "_wz"] + h @ p[prefix + "_uz"] + p[prefix + "_bz"],
-        x @ p[prefix + "_wr"] + h @ p[prefix + "_ur"] + p[prefix + "_br"]]))
-    hh = np.tanh(x @ p[prefix + "_wh"] + (zr[n:] * h) @ p[prefix + "_uh"] + p[prefix + "_bh"])
-    return (1.0 - zr[:n]) * h + zr[:n] * hh
+def _gate_stacks(block: np.ndarray, lanes: int, k: int, n: int):
+    """(W, U, b) of `lanes` consecutive GRU blocks, as views of `block`.
+
+    A block holds its gates one after another (param_specs order), each as
+    W (k, n), U (n, n) and b (n,), so the gates sit one fixed stride apart
+    and reshape to (lanes, 3, k, n), (lanes, 3, n, n) and (lanes, 3, n)
+    without a copy. A single lane has no lane axis.
+    """
+    lead = (lanes,) if lanes > 1 else ()
+    gates = block.reshape(lead + (3, n * (k + n + 1)))
+    w_end = k * n
+    u_end = w_end + n * n
+    return (gates[..., :w_end].reshape(lead + (3, k, n)),
+            gates[..., w_end:u_end].reshape(lead + (3, n, n)),
+            gates[..., u_end:])
 
 
 class _Gru:
-    """The gated recurrent cells of a pass over whole sequences.
+    """The one gated recurrent cell: encoding, decoding and training.
 
     One instance steps one GRU, or several in lock-step as lanes (the
     encoder's two directions): arrays carry the lane, if any, as their
-    leading axis. The weights are stacked by lane and gate, so a step makes
-    one product per kind of weight, not one per gate and lane. Each product
-    in a stack is the same BLAS call it would be alone, so the bits do not
-    change; a product with fused [Wz|Wr|Wh] columns would change them on
-    some hidden sizes.
+    leading axis. The weights are views of the GRU's block of the flat
+    parameter vector, stacked by lane and gate, so a step makes one product
+    per kind of weight, not one per gate and lane, and an in-place update of
+    the vector is seen at once. Each product in a stack is the same BLAS
+    call it would be alone, so the bits do not change; a product with fused
+    [Wz|Wr|Wh] columns would change them on some hidden sizes.
 
-    With `with_grads`, `backward` collects each lane's gradients in a buffer
-    laid out like that GRU's block of the flat parameter vector, with one
-    multiply-add per kind of weight and step, and `flush` copies them out.
-    Both are elementwise, so the bits stay those of per-tensor accumulation.
+    `with_grads` gives the same cell with gradient views over the same block
+    of a gradient vector; `backward` accumulates straight into them, with
+    one multiply-add per kind of weight and step. That is elementwise, so
+    the bits stay those of per-tensor accumulation.
     """
 
-    def __init__(self, p: dict, prefixes: tuple[str, ...], with_grads: bool = False):
-        def stacked(kind: str, gates: str) -> np.ndarray:
-            w = np.array([[p[f"{pre}_{kind}{gate}"] for gate in gates] for pre in prefixes])
-            return w[0] if len(prefixes) == 1 else w
+    def __init__(self, block: np.ndarray, lanes: int, k: int, n: int):
+        self.dims = (lanes, k, n)
+        self.w, u, b = _gate_stacks(block, lanes, k, n)
+        self.u_zr = u[..., :2, :, :]
+        self.u_h = u[..., 2, :, :]
+        self.b_zr = b[..., :2, :]
+        self.b_h = b[..., 2, :]
 
-        self.w = stacked("w", "zrh")  # (lanes, 3, k, n)
-        self.u_zr = stacked("u", "zr")  # (lanes, 2, n, n)
-        self.u_h = stacked("u", "h")[..., 0, :, :]
-        self.b_zr = stacked("b", "zr")  # (lanes, 2, n)
-        self.b_h = stacked("b", "h")[..., 0, :]
-        k, n = self.w.shape[-2:]
-        self.n = n
-        if with_grads:
-            # per lane and gate: W rows, then U rows, then the bias row
-            self.acc = np.zeros(self.w.shape[:-3] + (k + n + 1, 3 * n))
-            self.g_w = self.acc[..., :k, :]
-            self.g_u_zr = self.acc[..., k:k + n, :2 * n]
-            self.g_uh = self.acc[..., k:k + n, 2 * n:]
-            self.g_b = self.acc[..., k + n, :]
+    def with_grads(self, g_block: np.ndarray) -> "_Gru":
+        """This cell, accumulating its gradients into g_block (laid out like its block)."""
+        cell = copy.copy(self)
+        cell.g_w, g_u, cell.g_b = _gate_stacks(g_block, *self.dims)
+        cell.g_u_zr = g_u[..., :2, :, :]
+        cell.g_u_h = g_u[..., 2, :, :]
+        return cell
 
     def inputs(self, xs: np.ndarray) -> np.ndarray:
         """Input products x W of every step at once: (steps, lanes, 3, n).
@@ -153,17 +162,15 @@ class _Gru:
     def backward(self, cache, d_new: np.ndarray):
         """Backprop one step. Returns (d_input, d_prev_state)."""
         x, h, zr, keep, rh, hh = cache
-        n = self.n
         dph = d_new * zr[..., 0, :] * (1.0 - hh * hh)
         drh = (self.u_h @ dph[..., None])[..., 0]
         dp_zr = np.stack([d_new * (hh - h), drh * h], axis=-2) * zr * keep
         dp = np.concatenate([dp_zr, dph[..., None, :]], axis=-2)  # dpz, dpr, dph
-        dp_flat = dp.reshape(dp.shape[:-2] + (3 * n,))
 
-        self.g_w += x[..., :, None] * dp_flat[..., None, :]
-        self.g_u_zr += h[..., :, None] * dp_flat[..., None, :2 * n]
-        self.g_uh += rh[..., :, None] * dph[..., None, :]
-        self.g_b += dp_flat
+        self.g_w += x[..., None, :, None] * dp[..., :, None, :]
+        self.g_u_zr += h[..., None, :, None] * dp_zr[..., :, None, :]
+        self.g_u_h += rh[..., :, None] * dph[..., None, :]
+        self.g_b += dp
 
         dxs = (self.w @ dp[..., None])[..., 0]
         dx = dxs[..., 2, :] + (dxs[..., 0, :] + dxs[..., 1, :])
@@ -172,17 +179,6 @@ class _Gru:
         dh += drh * zr[..., 1, :]
         dh += dhs[..., 0, :] + dhs[..., 1, :]
         return dx, dh
-
-    def flush(self, blocks: list[np.ndarray]) -> None:
-        """Copy the collected gradients into each lane's flat block.
-
-        A block holds its gates one after another (param_specs order), each
-        as k + n + 1 rows of n: W, then U, then b.
-        """
-        n = self.n
-        acc = self.acc.reshape((len(blocks),) + self.acc.shape[-2:])
-        for block, lane in zip(blocks, acc):
-            block.reshape(3, -1, n)[...] = lane.reshape(-1, 3, n).transpose(1, 0, 2)
 
 
 def _gru_specs(prefix: str, in_size: int, hidden: int) -> list[tuple[str, tuple]]:
@@ -210,7 +206,6 @@ class Seq2SeqModel:
             start = stop
         # (name, start, stop, shape) per tensor, in param_specs() order
         self.layout = tuple(layout)
-        self._spans = {name: (start, stop) for name, start, stop, _ in layout}
         self.params = self.zero_grads()
         if params is None:
             self._init_params()
@@ -218,6 +213,14 @@ class Seq2SeqModel:
             self._check_shapes(params)
             for name, view in self.params.items():
                 view[...] = params[name]
+        # each GRU's block of the flat vector, from its `_wz` to its `_bh`;
+        # the encoder's two directions are adjacent, one lane each
+        spans = {name: (start, stop) for name, start, stop, _ in layout}
+        self._enc_block = slice(spans["enc_f_wz"][0], spans["enc_b_bh"][1])
+        self._dec_block = slice(spans["dec_wz"][0], spans["dec_bh"][1])
+        h, e = config.hidden_size, config.embed_size
+        self._enc = _Gru(self.params.vector[self._enc_block], 2, e, h)
+        self._dec = _Gru(self.params.vector[self._dec_block], 1, e + 2 * h, h)
 
     # -- parameter bookkeeping ------------------------------------------
 
@@ -263,10 +266,6 @@ class Seq2SeqModel:
                 raise ShapeError(
                     f"{name}: expected shape {shape}, got {params[name].shape}")
 
-    def _gru_block(self, g: FlatParams, prefix: str) -> np.ndarray:
-        """One GRU's tensors in g's flat vector, from `{prefix}_wz` to `{prefix}_bh`."""
-        return g.vector[self._spans[prefix + "_wz"][0]:self._spans[prefix + "_bh"][1]]
-
     def zero_grads(self) -> FlatParams:
         return FlatParams(np.zeros(self.layout[-1][2]), self.layout)
 
@@ -274,7 +273,7 @@ class Seq2SeqModel:
 
     def encode(self, src_ids) -> np.ndarray:
         """Encoder states, one row of width 2*hidden per source position."""
-        enc, _ = self._encode(src_ids, _Gru(self.params, _ENCODER))
+        enc, _ = self._encode(src_ids, self._enc)
         return enc
 
     def _encode(self, src_ids, gru: _Gru):
@@ -374,16 +373,12 @@ class Seq2SeqModel:
             att_enc = enc @ p["att_u"]
         emb = p["tgt_emb"][y_prev]
         _, ctx, _ = self._attention_forward(s_prev, enc, att_enc)
-        s_new = _gru_forward(p, "dec", np.concatenate([emb, ctx]), s_prev)
+        s_new, _ = self._dec.forward(np.concatenate([emb, ctx]), s_prev)
         logits = np.concatenate([s_new, ctx, emb]) @ p["out_w"] + p["out_b"]
         logits[_MASKED_IDS] = -np.inf
         return _log_softmax(logits), s_new
 
     # -- scoring -----------------------------------------------------------
-
-    def charize(self, text: str, side: str) -> list[int]:
-        vocab = self.src_vocab if side == "source" else self.tgt_vocab
-        return vocab.encode(text)
 
     def sequence_logprob(self, src: str, tgt: str, terminated: bool = True) -> float:
         """log p(tgt | src), teacher forced.
@@ -427,13 +422,12 @@ class Seq2SeqModel:
         h_size = self.config.hidden_size
         e_size = self.config.embed_size
         out_w = p["out_w"]
-        gru_e = _Gru(p, _ENCODER, with_grads=True)
-        gru_d = _Gru(p, ("dec",), with_grads=True)
+        gru_e = self._enc.with_grads(g.vector[self._enc_block])
+        gru_d = self._dec.with_grads(g.vector[self._dec_block])
 
         enc, enc_caches = self._encode(src_ids, gru_e)
         att_enc = enc @ p["att_u"]
-        s = np.tanh(enc[0] @ p["init_w"] + p["init_b"])
-        s0 = s
+        s = s0 = self.initial_state(enc)
 
         # teacher forcing: the recurrence never reads the output layer, so
         # the per-step outputs o = [s, ctx, emb] are stacked and projected
@@ -500,6 +494,4 @@ class Seq2SeqModel:
         g["att_u"] += enc.T @ d_att_enc
 
         self._encoder_backward(src_ids, gru_e, enc_caches, d_enc, g)
-        gru_e.flush([self._gru_block(g, prefix) for prefix in _ENCODER])
-        gru_d.flush([self._gru_block(g, "dec")])
         return float(nll), sum(scored), g

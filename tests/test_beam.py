@@ -95,6 +95,13 @@ def test_rejects_bad_arguments(fit_model):
         translate(fit_model, "")
 
 
+@pytest.mark.parametrize("max_len", [0, -2])
+def test_rejects_max_len_below_one(fit_model, max_len):
+    # an empty decode is not a confident empty translation
+    with pytest.raises(ConfigError, match="max_len must be >= 1"):
+        translate(fit_model, "ab", max_len=max_len)
+
+
 def test_beam_one_equals_greedy(fit_model):
     for src in ("ab", "bc", "ca", "cb"):
         (cand, score), = translate(fit_model, src, beam_width=1)

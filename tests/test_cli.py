@@ -209,6 +209,18 @@ def test_translate_ne_k_must_fit_the_beam(capsys, work, tiny_model, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("max_len", ["0", "-2"])
+def test_translate_ne_max_len_must_be_positive(capsys, work, tiny_model, max_len):
+    inputs = work / "max_len_inputs.txt"
+    inputs.write_text("巴林\n", encoding="utf-8")
+    out = work / "max_len_unused.tsv"
+    rc, _, err = run(capsys, "translate-ne", "--model", str(tiny_model),
+                     "--input", str(inputs), "--out", str(out), "--max-len", max_len)
+    assert rc == 1
+    assert f"max_len must be >= 1, got {max_len}" in err
+    assert not out.exists()
+
+
 def test_score_ne(capsys, work, tiny_model, tiny_pairs):
     rc, out, _ = run(capsys, "score-ne", "--model", str(tiny_model),
                      "--pairs", str(tiny_pairs))

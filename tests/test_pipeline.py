@@ -1,6 +1,8 @@
 """Placeholder rewriting, lexical tables, and restoration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netrans.align import AlignedPair
 from netrans.core import NePair, NeSpan, NeType, Sentence, SentencePair
@@ -127,6 +129,46 @@ def test_natural_placeholder_lookalikes_survive_the_round_trip():
     restored, report = restore(rewritten.tgt, entries, table,
                                src_lang="zh", tgt_lang="en")
     assert restored.tokens == ("LOC1", "is", "in", "balin")
+    assert report.warnings == 0
+
+
+# tokens a corpus may hold: placeholder lookalikes (PER0 and NT007 are not
+# symbols the rewriter emits, PER1 is), tokens that already start with the
+# escape sentinel, and plain words
+STREAM_TOKENS = st.one_of(
+    st.sampled_from(["PER0", "NT007", "PER1", "LOC2", ESC, ESC + "PER1",
+                     ESC + ESC + "NT3", ESC + "巴林"]),
+    st.text("abz巴林", min_size=1, max_size=3),
+)
+
+
+def disjoint_ranges(draw, n: int) -> list[tuple[int, int]]:
+    """Non-empty, disjoint (possibly adjacent) token ranges, in random order."""
+    cuts = sorted(draw(st.sets(st.integers(0, n), max_size=n)) | {0, n})
+    segments = draw(st.permutations(list(zip(cuts, cuts[1:]))))
+    return segments[:draw(st.integers(0, len(segments)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_replace_then_restore_round_trips_random_streams(data):
+    # unique source tokens make the aligned source surfaces distinct, so the
+    # lexical table maps each one back to its own translation
+    src = data.draw(st.lists(STREAM_TOKENS, min_size=1, max_size=8, unique=True))
+    tgt = data.draw(st.lists(STREAM_TOKENS, min_size=1, max_size=10))
+    links = list(zip(disjoint_ranges(data.draw, len(src)), disjoint_ranges(data.draw, len(tgt))))
+    types = data.draw(st.lists(st.sampled_from(list(NeType)),
+                               min_size=len(links), max_size=len(links)))
+    aligned = [AlignedPair(5, ss, se, ts, te, ne_type, 1.0, "both")
+               for ((ss, se), (ts, te)), ne_type in zip(links, types)]
+    pair = SentencePair(Sentence(src, "zh"), Sentence(tgt, "en"), 5)
+    rewritten, entries = replace_training_pair(pair, aligned)
+    table = extract_lexical_table(
+        NePair(e.surface, e.translation, e.ne_type) for e in entries)
+    restored, report = restore(rewritten.tgt, entries, table,
+                               src_lang="zh", tgt_lang="en")
+    assert restored == pair.tgt
+    assert report.from_table == len(links)
     assert report.warnings == 0
 
 

@@ -1,4 +1,4 @@
-"""The reference trainer the fast one must match bit for bit.
+"""The reference trainer and decoder the model must match bit for bit.
 
 This is the per-tensor implementation the model and trainer replaced, kept
 verbatim in what it computes: parameters are a dict of separate arrays, the
@@ -156,6 +156,17 @@ class OracleModel:
         logits[list(_MASKED_IDS)] = -np.inf
         logp = _log_softmax(logits)
         return logp, s_new, (y_prev, att_cache, gru_cache, o, logp)
+
+    def encode(self, src_ids) -> np.ndarray:
+        return self._encode_cached(list(src_ids))[0]
+
+    def initial_state(self, enc: np.ndarray) -> np.ndarray:
+        return np.tanh(enc[0] @ self.params["init_w"] + self.params["init_b"])
+
+    def step(self, s_prev, y_prev, enc, att_enc):
+        """One decode step: (log-probs over the target vocab, new state)."""
+        logp, s_new, _ = self._step_forward(s_prev, y_prev, enc, att_enc)
+        return logp, s_new
 
     def _step_backward(self, cache, y_out, ds_carry, g):
         p = self.params
