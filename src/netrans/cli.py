@@ -268,12 +268,31 @@ def _restore_task(task, symbol_map, table, translator, src_lang, tgt_lang):
     return restored, report
 
 
+def _model_surfaces(sentences, symbol_map, table) -> list[str]:
+    """The distinct surfaces restore asks its translator for, first occurrence
+    first: those of the input's PER/LOC symbols that the lexical table misses."""
+    surfaces: dict[str, None] = {}
+    for sid, sentence in enumerate(sentences):
+        by_symbol = {e.symbol: e for e in symbol_map.get(sid, [])}
+        for token in sentence.tokens:
+            entry = by_symbol.get(token)
+            if (entry is not None and entry.ne_type is not NeType.NT
+                    and not table.best(entry.surface)):
+                surfaces[entry.surface] = None
+    return list(surfaces)
+
+
 def cmd_restore(args) -> int:
     _require(args, "input", "symmap", "out", "src_lang", "tgt_lang")
     symbol_map = pipeline.read_symbol_map(args.symmap)
     table = pipeline.LexicalTable.read(args.lex) if args.lex else pipeline.LexicalTable()
-    translator = align.ModelTranslator(args.model, args.beam) if args.model else None
     sentences = _read_sentences(args.input, args.tgt_lang)
+    translator = None
+    if args.model:
+        # one decode per distinct surface, however often its symbols recur
+        surfaces = _model_surfaces(sentences, symbol_map, table)
+        decoded = pmap(align.ModelTranslator(args.model, args.beam), surfaces, args.jobs)
+        translator = dict(zip(surfaces, decoded)).__getitem__
 
     worker = partial(_restore_task, symbol_map=symbol_map, table=table,
                      translator=translator, src_lang=args.src_lang, tgt_lang=args.tgt_lang)

@@ -19,7 +19,9 @@ out. Update parameters in place, as the optimizer and the best-checkpoint
 restore do, and every cell sees the change; rebinding a tensor or the
 vector cuts it loose.
 
-Computation is batch size 1. The backward pass is written out by hand next
+Training is batch size 1. A decode step takes one state or the beam's
+live states stacked as rows; the attention is the same code for both, with
+the rows as leading axes. The backward pass is written out by hand next
 to the forward pass it mirrors; `loss_and_grads` returns unnormalized sums
 so callers can weight batches however they like. Every product and sum
 keeps the operand order of a plain per-tensor, per-step implementation, so
@@ -338,12 +340,19 @@ class Seq2SeqModel:
         return weights
 
     def _attention_forward(self, s_prev, enc, att_enc):
+        """Weights, context and cache for one state (h,) or stacked rows (k, h).
+
+        Every product is a stack of row-vector products and every reduction
+        runs along the last axis, so each row gets the bits it would get
+        alone.
+        """
         p = self.params
-        t = np.tanh(s_prev @ p["att_w"] + att_enc)  # (m, hidden)
+        q = (s_prev[..., None, :] @ p["att_w"])[..., 0, :]
+        t = np.tanh(q[..., None, :] + att_enc)  # (..., m, hidden)
         scores = t @ p["att_v"]
-        e = np.exp(scores - scores.max())
-        weights = e / e.sum()
-        ctx = weights @ enc
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = e / e.sum(axis=-1, keepdims=True)
+        ctx = (weights[..., None, :] @ enc)[..., 0, :]
         return weights, ctx, (s_prev, t, weights)
 
     def _attention_backward(self, cache, enc, d_ctx, g: FlatParams):
@@ -365,17 +374,24 @@ class Seq2SeqModel:
     def initial_state(self, enc: np.ndarray) -> np.ndarray:
         return np.tanh(enc[0] @ self.params["init_w"] + self.params["init_b"])
 
-    def step(self, s_prev: np.ndarray, y_prev: int, enc: np.ndarray,
+    def step(self, s_prev: np.ndarray, y_prev, enc: np.ndarray,
              att_enc: np.ndarray | None = None):
-        """One decode step. Returns (log-probs over target vocab, new state)."""
+        """One decode step. Returns (log-probs over target vocab, new state).
+
+        Takes one state of shape (hidden,) and one previous id, or k states
+        stacked as rows of shape (k, hidden) and k ids; the outputs then
+        carry the same leading row axis. Each row is bit-identical to
+        stepping it alone.
+        """
         p = self.params
         if att_enc is None:
             att_enc = enc @ p["att_u"]
         emb = p["tgt_emb"][y_prev]
         _, ctx, _ = self._attention_forward(s_prev, enc, att_enc)
-        s_new, _ = self._dec.forward(np.concatenate([emb, ctx]), s_prev)
-        logits = np.concatenate([s_new, ctx, emb]) @ p["out_w"] + p["out_b"]
-        logits[_MASKED_IDS] = -np.inf
+        s_new, _ = self._dec.forward(np.concatenate([emb, ctx], axis=-1), s_prev)
+        out = np.concatenate([s_new, ctx, emb], axis=-1)
+        logits = (out[..., None, :] @ p["out_w"])[..., 0, :] + p["out_b"]
+        logits[..., _MASKED_IDS] = -np.inf
         return _log_softmax(logits), s_new
 
     # -- scoring -----------------------------------------------------------

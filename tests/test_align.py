@@ -110,6 +110,50 @@ def test_raising_the_threshold_never_adds_matches():
             assert lo is not None
 
 
+THRESHOLDS = st.one_of(st.sampled_from([0.2, 0.25, 0.5, 0.6, 0.75, 0.8, 1.0]),
+                       st.floats(0.01, 1.0))
+LETTERS = "abeilnorz"
+
+
+@st.composite
+def candidate(draw, tokens):
+    """Random letters, or a run of the stream's tokens with a few characters cut,
+    so that ranges of every width score anywhere from 0 to 1."""
+    if draw(st.booleans()):
+        return draw(st.text(LETTERS + " ", max_size=10))
+    start = draw(st.integers(0, len(tokens) - 1))
+    text = " ".join(tokens[start:draw(st.integers(start + 1, len(tokens)))])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + text[i + 1:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       ne_type=st.sampled_from([NeType.PER, NeType.LOC, NeType.NT]),
+       nt_surface=st.sampled_from(["百分之四点二", "十月 五 日", "二零零五年", "四十二"]),
+       tokens=st.lists(st.one_of(st.text(LETTERS, min_size=1, max_size=7),
+                                 st.sampled_from(["4.2%", "42", "october", "5", "2005"])),
+                       min_size=1, max_size=8),
+       thresholds=st.tuples(THRESHOLDS, THRESHOLDS),
+       max_ngram=st.integers(1, 3))
+def test_raising_the_threshold_keeps_the_match_or_drops_it(data, ne_type, nt_surface, tokens,
+                                                           thresholds, max_ngram):
+    candidates = data.draw(st.lists(st.tuples(candidate(tokens), st.floats(-9.0, 0.0)),
+                                    min_size=1, max_size=4))
+    if ne_type is not NeType.NT and not any(c for c, _ in candidates):
+        candidates.append(("bolin", -1.0))  # an empty k-best is a caller error
+    surface = nt_surface if ne_type is NeType.NT else "某某"
+    ne = NeSpan(0, "source", 0, 1, ne_type, surface)
+    lo, hi = sorted(thresholds)
+    found = [match_span(ne, candidates, tokens,
+                        AlignConfig(sim_threshold=threshold, max_ngram=max_ngram),
+                        ne_lang="zh", other_lang="en")
+             for threshold in (lo, hi)]
+    assert found[1] is None or found[1] == found[0]
+
+
 def test_ties_prefer_narrower_then_leftmost_ranges():
     ne = per_span(0, "source", 0, 1, "安娜")
     # "anna" scores 1.0 against the single token and against any 2-gram

@@ -154,10 +154,11 @@ def test_scores_are_log_probabilities(fit_model):
 SRC_CHARS = "abc北京"
 
 
-def random_model(seed: int, tgt_chars: str, sharpness: float, output: str) -> Seq2SeqModel:
+def random_model(seed: int, tgt_chars: str, sharpness: float, output: str,
+                 max_decode_len: int = 6) -> Seq2SeqModel:
     """Random small model; output "fixed" makes every step's distribution the
     same, so reordered strings tie exactly, and "uniform" ties every id."""
-    config = ModelConfig(hidden_size=6, embed_size=4, max_decode_len=6, seed=seed)
+    config = ModelConfig(hidden_size=6, embed_size=4, max_decode_len=max_decode_len, seed=seed)
     model = Seq2SeqModel(config, CharVocab.from_texts(["abc"]), CharVocab.from_texts([tgt_chars]))
     model.params["out_w"] *= sharpness
     if output != "random":
@@ -193,3 +194,76 @@ def test_all_ties_break_toward_the_lower_character_id():
     assert [text for text, _ in translate(model, "ab", beam_width=4)] == ["", "x", "xx", "xxx"]
     assert [text for text, _ in translate(model, "ab", beam_width=4, max_len=1)] == [
         "", "x", "y", "z"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       tgt_chars=st.sampled_from(["x", "xy", "xyzuvw", "ABCDEFGHIJKL"]),
+       sharpness=st.sampled_from([1.0, 30.0]),
+       output=st.sampled_from(["random", "fixed", "uniform"]),
+       eos_bias=st.sampled_from([0.0, 2.0, 6.0]),
+       src=st.text(SRC_CHARS, min_size=1, max_size=6),
+       beam_width=st.integers(1, 8),
+       max_decode_len=st.sampled_from([2, 8, 20, 40]))
+def test_early_stop_matches_the_reference(seed, tgt_chars, sharpness, output, eos_bias, src,
+                                          beam_width, max_decode_len):
+    # tied and <eos>-biased outputs finish hypotheses early, so the search
+    # often stops with hypotheses still alive, well before max_decode_len
+    model = random_model(seed, tgt_chars, sharpness, output, max_decode_len)
+    model.params["out_b"][EOS] += eos_bias
+    assert translate(model, src, beam_width) == reference_translate(model, src, beam_width)
+
+
+def test_one_stacked_step_per_beam_step_and_an_early_stop(fit_model, monkeypatch):
+    shapes = []
+    step = Seq2SeqModel.step
+
+    def counting(self, s_prev, *args):
+        shapes.append(np.shape(s_prev))
+        return step(self, s_prev, *args)
+
+    monkeypatch.setattr(Seq2SeqModel, "step", counting)
+    kbest = translate(fit_model, "ab", beam_width=5)
+    monkeypatch.undo()
+    # every call steps all live hypotheses as rows, and the 5-best is
+    # decided before any hypothesis reaches the length cap
+    assert shapes[0] == (1, fit_model.config.hidden_size)
+    assert all(len(shape) == 2 for shape in shapes)
+    assert len(shapes) < fit_model.config.max_decode_len
+    assert kbest == reference_translate(fit_model, "ab", 5)
+
+
+def bigram_model(transitions: dict[str, dict[str, float]], max_decode_len: int) -> Seq2SeqModel:
+    """A model whose step distribution depends only on the previous id.
+
+    transitions maps a previous character ("^" for <bos>) to the logits of
+    its successors ("$" for <eos>); every other real id gets logit -700,
+    whose exp is too small to change a sum of ones, so a successor given
+    alone has log-prob exactly 0 and two equal ones exactly -log 2.
+    """
+    tgt = CharVocab.from_texts(["abc"])
+    n = len(tgt)
+    config = ModelConfig(hidden_size=3, embed_size=n, max_decode_len=max_decode_len, seed=0)
+    model = Seq2SeqModel(config, CharVocab.from_texts(["ab"]), tgt)
+    ids = {"^": BOS, "$": EOS, **{c: tgt.id_of(c) for c in "abc"}}
+    model.params["tgt_emb"][:] = np.eye(n)  # one-hot previous id
+    model.params["out_w"][:] = 0.0
+    model.params["out_b"][:] = 0.0
+    rows = model.params["out_w"][3 * config.hidden_size:]
+    for prev, successors in transitions.items():
+        rows[ids[prev]] = -700.0
+        for succ, logit in successors.items():
+            rows[ids[prev], ids[succ]] = logit
+    return model
+
+
+def test_a_live_hypothesis_tied_with_the_kth_finished_keeps_the_search_going():
+    # width 2: "" finishes at -log 2; "ab" and "ac" live at -2 log 2; then "ac"
+    # finishes and "abb" lives on, both at -2 log 2, tied with the 2nd best
+    # finished. Every later step costs "ab..." nothing, so at the cap it ties
+    # "ac" and wins on its lower ids: stopping at the tie would be wrong
+    model = bigram_model({"^": {"$": 0.0, "a": 0.0}, "a": {"b": 0.0, "c": 0.0},
+                          "b": {"b": 0.0}, "c": {"$": 0.0}}, max_decode_len=6)
+    half = -math.log(2.0)
+    assert reference_translate(model, "ab", 2) == [("", half), ("abbbbb", 2 * half)]
+    assert translate(model, "ab", 2) == reference_translate(model, "ab", 2)

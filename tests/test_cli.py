@@ -342,6 +342,40 @@ def test_restore_rejects_duplicate_symbol_rows(capsys, work):
     assert not out.exists()
 
 
+def test_restore_decodes_each_surface_once(capsys, work, tiny_model, monkeypatch):
+    from netrans.neural import beam
+
+    calls = []
+    decode = beam.translate
+
+    def counting(model, text, *args, **kwargs):
+        calls.append(text)
+        return decode(model, text, *args, **kwargs)
+
+    monkeypatch.setattr(beam, "translate", counting)
+    mt = work / "once_mt.en"
+    mt.write_text("PER1 arrived\nPER1 left PER2\nwe met PER1\n", encoding="utf-8")
+    symmap = work / "once_symbols.tsv"
+    # the same unseen name in three sentences, and one the table knows
+    symmap.write_text("0\tPER1\t安马\tPER\n1\tPER1\t安马\tPER\n1\tPER2\t巴林\tLOC\n"
+                      "2\tPER1\t安马\tPER\n", encoding="utf-8")
+    lex = work / "once_lex.tsv"
+    lex.write_text("巴林\tbahrain\t1\n", encoding="utf-8")
+    outputs = []
+    for jobs in ("1", "2"):
+        calls.clear()
+        out = work / f"once_restored_{jobs}.en"
+        rc, report, _ = run(capsys, "restore", "--input", str(mt), "--symmap", str(symmap),
+                            "--lex", str(lex), "--model", str(tiny_model),
+                            "--src-lang", "zh", "--tgt-lang", "en", "--out", str(out),
+                            "--jobs", jobs)
+        assert rc == 0
+        assert calls == ["安马"]
+        assert "from_model\t3" in report and "from_table\t1" in report
+        outputs.append((out.read_bytes(), report))
+    assert outputs[0] == outputs[1]
+
+
 def test_replace_modes_are_mutually_exclusive(capsys, work, nt_corpus, aligned_nt):
     zh, _, ann = nt_corpus
     alignments, _ = aligned_nt

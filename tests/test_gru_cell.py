@@ -1,5 +1,8 @@
 """The one GRU cell: decoding against the per-tensor reference, and its views.
 
+A decode step, on one state or on stacked rows, must give the reference's
+bits for every row.
+
 The model's encoder and decoder cells are built once, as views of the flat
 parameter vector. These tests pin that the views are the named tensors,
 that gradients land in the gradient vector, and that a model updated in
@@ -72,6 +75,35 @@ def test_encode_and_step_match_the_reference_exactly(case):
     model, src_ids, y_prevs = case
     assert_same_trace(decode_trace(model, src_ids, y_prevs),
                       decode_trace(OracleModel(model), src_ids, y_prevs))
+
+
+@st.composite
+def stacked_case(draw):
+    config = ModelConfig(hidden_size=draw(st.integers(1, 12)),
+                         embed_size=draw(st.integers(1, 8)),
+                         seed=draw(st.integers(0, 2**16)))
+    model = random_model(config, draw(st.sampled_from([0.08, 1.0, 3.0])))
+    src_ids = draw(st.lists(st.integers(0, len(model.src_vocab) - 1), min_size=1, max_size=6))
+    y_prevs = draw(st.lists(st.integers(0, len(model.tgt_vocab) - 1), min_size=1, max_size=8))
+    return model, src_ids, y_prevs
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacked_case())
+def test_stacked_rows_step_like_the_reference_one_at_a_time(case):
+    model, src_ids, y_prevs = case
+    enc = model.encode(src_ids)
+    att_enc = enc @ model.params["att_u"]
+    rng = np.random.default_rng(model.config.seed)
+    states = rng.uniform(-1.0, 1.0, size=(len(y_prevs), model.config.hidden_size))
+    logp, s_new = model.step(states, y_prevs, enc, att_enc)
+    assert logp.shape == (len(y_prevs), len(model.tgt_vocab))
+    assert s_new.shape == states.shape
+    oracle = OracleModel(model)
+    for i, y_prev in enumerate(y_prevs):
+        want_logp, want_s = oracle.step(states[i], y_prev, enc, att_enc)
+        assert np.array_equal(logp[i], want_logp), i
+        assert np.array_equal(s_new[i], want_s), i
 
 
 def test_cells_are_views_of_the_parameter_and_gradient_vectors():
