@@ -6,6 +6,11 @@ result is the union of both directions, so an entity missed by one
 recognizer can still be aligned through the other. Numeric/temporal spans
 skip the translator and match on digit skeletons instead.
 
+The comparison is the LCS similarity of `simdist`, run as one
+bit-parallel pass per (candidate, start token): the other sentence is
+folded once, each candidate's masks are built once, and every n-gram's
+score is read off the bit vector when the pass reaches the n-gram's end.
+
 Names repeat across a corpus, so `align_corpus` decodes each distinct
 surface once per direction: every process that aligns sentences wraps each
 translator in a memo keyed by the input text, kept for that run only. The
@@ -76,48 +81,79 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     """Best-scoring token range for one entity, or None below threshold.
 
     Ties prefer the shorter range, then the leftmost, then the higher-ranked
-    candidate. A candidate/range pair longer than `simdist.MAX_CHARS` counts
-    as no match.
+    candidate. A candidate/range pair longer than `simdist.MAX_CHARS` folded
+    characters counts as no match.
+
+    PER/LOC ranges are scored in one bit-parallel LCS pass per (candidate,
+    start): the bit vector after a prefix of the text already holds the
+    LCS against that prefix, so the pass over a start's `max_ngram` tokens
+    and their joining spaces reads every n-gram's score at its end. The
+    scores are the integer ratios `simdist.similarity` gives, because
+    folding commutes with joining tokens by spaces, so the result is the
+    same as comparing each range on its own. NT ranges match on digit
+    skeletons, which are computed per range.
     """
+    n = len(other_tokens)
+    threshold = cfg.sim_threshold
+    hits = []  # (-score, width, start, rank) of every range at or above threshold
+    too_long = 0
     if ne.ne_type is NeType.NT:
         skeleton = numnorm.normalize_numeric(ne.surface, ne_lang)
         if not skeleton:
             return None  # every range would score 0.0, below any threshold
-        scored = [skeleton]
-
-        def similarity(cand, text):
-            return numnorm.skeleton_similarity(cand, numnorm.normalize_numeric(text, other_lang))
-    else:
-        scored = [c for c, _ in candidates if c]
-        if not scored:
-            raise ConfigError(
-                f"no translation candidates for {ne.ne_type.value} span {ne.surface!r}")
-        similarity = simdist.similarity
-
-    n = len(other_tokens)
-    best = None
-    best_key = None
-    too_long = 0
-    for start in range(n):
-        for end in range(start + 1, min(start + cfg.max_ngram, n) + 1):
-            text = " ".join(other_tokens[start:end])
-            for rank, cand in enumerate(scored):
+        for start in range(n):
+            for end in range(start + 1, min(start + cfg.max_ngram, n) + 1):
+                text = " ".join(other_tokens[start:end])
                 try:
-                    score = similarity(cand, text)
+                    score = numnorm.skeleton_similarity(
+                        skeleton, numnorm.normalize_numeric(text, other_lang))
                 except LengthLimitError:
                     too_long += 1
                     continue
-                if score < cfg.sim_threshold:
-                    continue
-                key = (-score, end - start, start, rank)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (start, end, score)
+                if score >= threshold:
+                    hits.append((-score, end - start, start, 0))
+    else:
+        scored = [simdist.fold(c) for c, _ in candidates if c]
+        if not scored:
+            raise ConfigError(
+                f"no translation candidates for {ne.ne_type.value} span {ne.surface!r}")
+        folded = [simdist.fold(t) for t in other_tokens]
+        stops = [min(start + cfg.max_ngram, n) for start in range(n)]
+        for rank, cand in enumerate(scored):
+            m = len(cand)
+            if m > simdist.MAX_CHARS:
+                too_long += sum(stop - start for start, stop in enumerate(stops))
+                continue
+            masks = simdist.char_masks(cand)
+            full = (1 << m) - 1
+            space = masks.get(" ", 0)
+            # a character the candidate lacks leaves the bit vector as it is
+            token_masks = [[x for x in map(masks.get, tok) if x] for tok in folded]
+            for start, stop in enumerate(stops):
+                v = full
+                length = -1
+                for end in range(start + 1, stop + 1):
+                    length += len(folded[end - 1]) + 1
+                    if length > simdist.MAX_CHARS:
+                        too_long += stop - end + 1  # the fragment only grows
+                        break
+                    if end > start + 1 and space:
+                        u = v & space
+                        v = ((v + u) | (v - u)) & full
+                    for x in token_masks[end - 1]:
+                        u = v & x
+                        v = ((v + u) | (v - u)) & full
+                    score = (m - v.bit_count()) / m
+                    if score >= threshold:
+                        hits.append((-score, end - start, start, rank))
     if too_long:
         log.warning("sentence %d: %d comparison(s) for %s span %r exceed %d chars, "
                     "treated as no match", ne.sentence_id, too_long, ne.ne_type.value,
                     ne.surface, simdist.MAX_CHARS)
-    return best
+    if not hits:
+        return None
+    neg_score, width, start, _ = min(hits)
+    return start, start + width, -neg_score
 
 
 def _spans_for(pair: SentencePair, spans: Sequence[NeSpan], side: str) -> list[NeSpan]:

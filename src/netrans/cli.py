@@ -9,7 +9,8 @@ diagnostic tools. Exit codes: 0 success, 1 usage or configuration problem,
 Every subcommand accepts `--config FILE` with `key = value` lines (`#`
 comments); command-line flags override file values, unknown keys are
 rejected. All randomness flows from `--seed`. Commands with `--jobs` fan
-work out to processes; outputs are byte-identical for any job count.
+work out to processes (`restore` only its model decode; the restoring
+itself is table lookups); outputs are byte-identical for any job count.
 """
 
 from __future__ import annotations
@@ -261,13 +262,6 @@ def cmd_extract_lex(args) -> int:
     return 0
 
 
-def _restore_task(task, symbol_map, table, translator, src_lang, tgt_lang):
-    sid, sentence = task
-    restored, report = pipeline.restore(sentence, symbol_map.get(sid, []), table,
-                                        translator, src_lang=src_lang, tgt_lang=tgt_lang)
-    return restored, report
-
-
 def _model_surfaces(sentences, symbol_map, table) -> list[str]:
     """The distinct surfaces restore asks its translator for, first occurrence
     first: those of the input's PER/LOC symbols that the lexical table misses."""
@@ -294,9 +288,10 @@ def cmd_restore(args) -> int:
         decoded = pmap(align.ModelTranslator(args.model, args.beam), surfaces, args.jobs)
         translator = dict(zip(surfaces, decoded)).__getitem__
 
-    worker = partial(_restore_task, symbol_map=symbol_map, table=table,
-                     translator=translator, src_lang=args.src_lang, tgt_lang=args.tgt_lang)
-    results = pmap(worker, list(enumerate(sentences)), args.jobs)
+    # only table lookups once the surfaces are decoded: no workers
+    results = [pipeline.restore(sentence, symbol_map.get(sid, []), table, translator,
+                                src_lang=args.src_lang, tgt_lang=args.tgt_lang)
+               for sid, sentence in enumerate(sentences)]
     _write_rows(args.out, [sentence.text() for sentence, _ in results])
 
     totals = pipeline.RestoreReport()
@@ -503,7 +498,8 @@ def _build() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--src-lang")
     p.add_argument("--tgt-lang")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the --model decode")
 
     p = sub("eval-ne", cmd_eval_ne, "exact-match translation accuracy")
     p.add_argument("--hyp")

@@ -22,6 +22,12 @@ fragment are NFC-normalized and lowercased before comparison, so
 "Berlin" and "berlin" match; lcs_length and edit_distance_indel themselves
 compare raw scalar sequences.
 
+After each character of the scanned string the bit vector already holds
+the LCS against the prefix scanned so far, and folding a space-joined text equals joining its
+folded tokens.  ``align.match_span`` uses both to score every n-gram that
+starts at one token in a single pass with the same kernel steps, so
+``similarity`` here is the one-off form (``netrans sim``, the tests).
+
 ``BACKEND`` names this kernel.  It stays a constant because benchmark
 results record it and refuse to compare runs made with different kernels.
 """
@@ -45,14 +51,20 @@ def _check_lengths(a: str, b: str) -> None:
         )
 
 
+def char_masks(a: str) -> dict[str, int]:
+    """Bit i of masks[ch] is set where a[i] == ch: the kernel's match vectors."""
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        masks[ch] = masks.get(ch, 0) | (1 << i)
+    return masks
+
+
 def lcs_length(a: str, b: str) -> int:
     """Length of the longest common subsequence of two strings."""
     _check_lengths(a, b)
     if len(a) > len(b):
         a, b = b, a
-    masks: dict[str, int] = {}
-    for i, ch in enumerate(a):
-        masks[ch] = masks.get(ch, 0) | (1 << i)
+    masks = char_masks(a)
     full = (1 << len(a)) - 1
     # A cleared bit i of v marks a step up of the DP row at column i, so the
     # cleared bits sum to the LCS.

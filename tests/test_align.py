@@ -3,10 +3,10 @@ import pickle
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from netrans import simdist, synth
+from netrans import numnorm, simdist, synth
 from netrans.align import (
     AlignConfig,
     AlignedPair,
@@ -17,10 +17,12 @@ from netrans.align import (
     write_alignments,
 )
 from netrans.core import NeSpan, NeType, Sentence, SentencePair
-from netrans.errors import ConfigError, ContractError, ParseError
+from netrans.errors import ConfigError, ContractError, LengthLimitError, ParseError
 from netrans.ner import AnnotationRecognizer, Gazetteer
 
 CFG = AlignConfig()
+
+log = logging.getLogger(__name__)
 
 
 class DictTranslator:
@@ -152,6 +154,121 @@ def test_raising_the_threshold_keeps_the_match_or_drops_it(data, ne_type, nt_sur
                         ne_lang="zh", other_lang="en")
              for threshold in (lo, hi)]
     assert found[1] is None or found[1] == found[0]
+
+
+def reference_match_span(ne, candidates, other_tokens, cfg, *, ne_lang, other_lang):
+    """The one-`similarity`-call-per-(range, candidate) loop `match_span` replaced;
+    the oracle its one-pass scan must equal exactly."""
+    if ne.ne_type is NeType.NT:
+        skeleton = numnorm.normalize_numeric(ne.surface, ne_lang)
+        if not skeleton:
+            return None  # every range would score 0.0, below any threshold
+        scored = [skeleton]
+
+        def similarity(cand, text):
+            return numnorm.skeleton_similarity(cand, numnorm.normalize_numeric(text, other_lang))
+    else:
+        scored = [c for c, _ in candidates if c]
+        if not scored:
+            raise ConfigError(
+                f"no translation candidates for {ne.ne_type.value} span {ne.surface!r}")
+        similarity = simdist.similarity
+
+    n = len(other_tokens)
+    best = None
+    best_key = None
+    too_long = 0
+    for start in range(n):
+        for end in range(start + 1, min(start + cfg.max_ngram, n) + 1):
+            text = " ".join(other_tokens[start:end])
+            for rank, cand in enumerate(scored):
+                try:
+                    score = similarity(cand, text)
+                except LengthLimitError:
+                    too_long += 1
+                    continue
+                if score < cfg.sim_threshold:
+                    continue
+                key = (-score, end - start, start, rank)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (start, end, score)
+    if too_long:
+        log.warning("sentence %d: %d comparison(s) for %s span %r exceed %d chars, "
+                    "treated as no match", ne.sentence_id, too_long, ne.ne_type.value,
+                    ne.surface, simdist.MAX_CHARS)
+    return best
+
+
+def outcome(caplog, matcher, *args, **kwargs):
+    """(result or raised exception type, warning texts) of one matcher call."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        try:
+            result = matcher(*args, **kwargs)
+        except Exception as exc:  # the oracle and the scan must raise alike
+            result = type(exc)
+    return result, [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+
+# cases, final and medial sigma, a dotted capital I that folds to two chars, a
+# sharp s, a combining acute after letters and alone, a precomposed e-acute, CJK
+ORACLE_CHARS = "abzABZΣςσİßé\u0301北京"
+# over-long alone, or only once joined to a neighbour (1020 + 1 + 4 > 1024);
+# "İ" * 520 is short before folding and 1,040 chars after
+LONG_TOKENS = ["a" * 1020, "İ" * 520, "ß" * 1025, "7" * 1030]
+ORACLE_TOKENS = st.one_of(
+    st.text(ORACLE_CHARS, min_size=1, max_size=6),
+    st.sampled_from(["4.2%", "42", "october", "5", "2005", "十月"]),
+    st.sampled_from(LONG_TOKENS))
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(),
+       ne_type=st.sampled_from([NeType.PER, NeType.LOC, NeType.NT]),
+       nt_surface=st.sampled_from(["百分之四点二", "十月 五 日", "二零零五年", "四十二",
+                                   "7" * 1030]),
+       tokens=st.lists(ORACLE_TOKENS, min_size=0, max_size=7),
+       threshold=THRESHOLDS,
+       max_ngram=st.integers(1, 5))
+def test_match_span_equals_the_reference_loop(caplog, data, ne_type, nt_surface, tokens,
+                                              threshold, max_ngram):
+    texts = [st.text(ORACLE_CHARS + " ", max_size=8),
+             st.sampled_from(["", "x" * 1025, "İ" * 513, "Σ" * 1024])]
+    if tokens:
+        texts.append(candidate(tokens))
+    candidates = data.draw(st.lists(st.tuples(st.one_of(texts), st.floats(-9.0, 0.0)),
+                                    min_size=1, max_size=5))
+    surface = nt_surface if ne_type is NeType.NT else "某某"
+    ne = NeSpan(3, "source", 0, 1, ne_type, surface)
+    cfg = AlignConfig(sim_threshold=threshold, max_ngram=max_ngram)
+    got = outcome(caplog, match_span, ne, candidates, tokens, cfg,
+                  ne_lang="zh", other_lang="en")
+    want = outcome(caplog, reference_match_span, ne, candidates, tokens, cfg,
+                   ne_lang="zh", other_lang="en")
+    assert got == want
+
+
+def test_per_spans_make_no_similarity_calls(monkeypatch):
+    calls = []
+    similarity = simdist.similarity
+
+    def counting(candidate, target):
+        calls.append((candidate, target))
+        return similarity(candidate, target)
+
+    ne = per_span(0, "source", 0, 1, "波林")
+    tokens = ("the", "bolin", "visit", "to", "berlin", "hall")
+    candidates = [("bolin", -0.1), ("bo lin", -0.5), ("berlin", -1.0), ("polin", -2.0),
+                  ("bolinhall", -4.0)]
+    monkeypatch.setattr(simdist, "similarity", counting)
+    hit = match_span(ne, candidates, tokens, CFG, ne_lang="zh", other_lang="en")
+    assert calls == []
+    monkeypatch.undo()
+    assert hit == (1, 2, 1.0)
+    assert hit == reference_match_span(ne, candidates, tokens, CFG,
+                                       ne_lang="zh", other_lang="en")
 
 
 def test_ties_prefer_narrower_then_leftmost_ranges():
@@ -374,16 +491,31 @@ def test_overlong_token_is_no_match_not_a_corpus_failure(caplog):
     corpus = [
         pair(0, ["波林", "说"], ["bolin", "x" * 2000, "said"]),
         pair(1, ["波林", "来"], ["bolin", "arrived"]),
+        # alone and joined to "met" it fits (1,020 and 1,024 chars); the
+        # three other ranges through it do not
+        pair(2, ["波林", "到"], ["we", "met", "y" * 1020, "bolin", "today"]),
     ]
     s2t, t2s = corpus_translators()
+    recognizer = TwoSentenceRecognizer()
     with caplog.at_level(logging.WARNING, logger="netrans.align"):
-        alignments, ne_pairs = align_corpus(corpus, TwoSentenceRecognizer(), CFG, s2t, t2s)
+        alignments, ne_pairs = align_corpus(corpus, recognizer, CFG, s2t, t2s)
     assert [(a.sentence_id, a.src_start, a.tgt_start, a.direction) for a in alignments] == [
-        (0, 0, 0, "both"), (1, 0, 0, "both")]
-    assert [(p.src, p.tgt, p.count) for p in ne_pairs] == [("波林", "bolin", 2)]
+        (0, 0, 0, "both"), (1, 0, 0, "both"), (2, 0, 3, "both")]
+    assert [(p.src, p.tgt, p.count) for p in ne_pairs] == [("波林", "bolin", 3)]
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert len(warnings) == 1 and "sentence 0" in warnings[0]
+    assert len(warnings) == 2 and "sentence 0" in warnings[0] and "sentence 2" in warnings[1]
     assert str(simdist.MAX_CHARS) in warnings[0]
+    assert "4 comparison(s)" in warnings[0] and "4 comparison(s)" in warnings[1]
+
+    expected = []
+    for p in corpus:  # the same spans and candidates through the oracle
+        for ne in recognizer.recognize(p.src, p.id, "source"):
+            expected.append(outcome(caplog, reference_match_span, ne, s2t(ne.surface),
+                                    p.tgt.tokens, CFG, ne_lang="zh", other_lang="en"))
+        for ne in recognizer.recognize(p.tgt, p.id, "target"):
+            expected.append(outcome(caplog, reference_match_span, ne, t2s(ne.surface),
+                                    p.src.tokens, CFG, ne_lang="en", other_lang="zh"))
+    assert [w for _, found in expected for w in found] == warnings
 
 
 # -- file format ------------------------------------------------------------------

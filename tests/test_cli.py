@@ -376,6 +376,41 @@ def test_restore_decodes_each_surface_once(capsys, work, tiny_model, monkeypatch
     assert outputs[0] == outputs[1]
 
 
+def test_restore_sends_only_the_model_decode_to_workers(capsys, work, tiny_model,
+                                                        monkeypatch):
+    from netrans import cli
+
+    calls = []
+    fan_out = cli.pmap
+
+    def recording(fn, items, jobs, *args, **kwargs):
+        calls.append((fn, list(items), jobs))
+        return fan_out(fn, items, jobs, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "pmap", recording)
+    mt = work / "jobs_mt.en"
+    mt.write_text("PER1 arrived\nPER1 left PER2\nwe met PER1 on NT1\n", encoding="utf-8")
+    symmap = work / "jobs_symbols.tsv"
+    symmap.write_text("0\tPER1\t安马\tPER\n1\tPER1\t安马\tPER\n1\tPER2\t巴林\tLOC\n"
+                      "2\tPER1\t安马\tPER\n2\tNT1\t五月\tNT\n", encoding="utf-8")
+    lex = work / "jobs_lex.tsv"
+    lex.write_text("巴林\tbahrain\t1\n", encoding="utf-8")
+    for model_flags, decodes in (([], 0), (["--model", str(tiny_model)], 1)):
+        results = []
+        for jobs in ("1", "2"):
+            calls.clear()
+            out = work / f"jobs_restored_{len(model_flags)}_{jobs}.en"
+            rc, report, _ = run(capsys, "restore", "--input", str(mt), "--symmap", str(symmap),
+                                "--lex", str(lex), *model_flags, "--src-lang", "zh",
+                                "--tgt-lang", "en", "--out", str(out), "--jobs", jobs)
+            assert rc == 0
+            assert len(calls) == decodes
+            results.append((out.read_bytes(), report))
+        if decodes:
+            assert calls[0][1:] == (["安马"], 2)
+        assert results[0] == results[1]
+
+
 def test_replace_modes_are_mutually_exclusive(capsys, work, nt_corpus, aligned_nt):
     zh, _, ann = nt_corpus
     alignments, _ = aligned_nt

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netrans import simdist
@@ -147,6 +147,23 @@ def test_similarity_folds_case_and_normalization():
     assert simdist.similarity("Berlin", "berlin") == 1.0
     # e + combining acute folds to the precomposed character
     assert simdist.similarity("café", "café") == 1.0
+
+
+# letters in both cases, capital, medial and final sigma (lowercasing "Σ" looks
+# at its neighbours), a dotted capital I that lowercases to two chars, a sharp
+# s, a precomposed and a decomposed e-acute, a combining acute that may start a
+# token, the iota subscript, an apostrophe (case-ignorable) and CJK
+FOLD_CHARS = "aZΑΣςσİßée\u0301\u0345'北"
+FOLD_TOKEN = st.one_of(st.text(FOLD_CHARS, max_size=6),
+                       st.text(st.characters(), max_size=6)).filter(
+    lambda t: not any(ch.isspace() for ch in t))
+
+
+@settings(max_examples=500)
+@given(st.lists(FOLD_TOKEN, max_size=5))
+def test_folding_commutes_with_joining_by_spaces(tokens):
+    # align.match_span folds each token once and scans the joined n-grams
+    assert simdist.fold(" ".join(tokens)) == " ".join(simdist.fold(t) for t in tokens)
 
 
 def test_similarity_is_asymmetric():
