@@ -11,19 +11,18 @@ bit-parallel pass per (candidate, start token): the other sentence is
 folded once, each candidate's masks are built once, and every n-gram's
 score is read off the bit vector when the pass reaches the n-gram's end.
 
-Names repeat across a corpus, so `align_corpus` decodes each distinct
-surface once per direction: every process that aligns sentences wraps each
-translator in a memo keyed by the input text, kept for that run only. The
-memo sits here, not in `ModelTranslator`, so that every call of a
-translator is still one decode and the memo cannot outlive the run;
-k-best lists are stored as tuples, so no caller can alter a shared entry.
+Names repeat across a corpus, so `align_corpus` recognizes every sentence,
+decodes each distinct surface of each direction once (`decode_once`, also
+used by `netrans restore`), then matches the sentences. This is exact, for
+any job count: translators are deterministic, so one decode serves every
+occurrence, and `pmap` returns results in input order.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from . import numnorm, simdist
@@ -273,28 +272,16 @@ def _merge_directions(fwd: list[AlignedPair], rev: list[AlignedPair]) -> list[Al
 
 # -- corpus-level driver --------------------------------------------------
 
-_WORKER_STATE: dict = {}
+def decode_once(translator: Translator, surfaces: Sequence[str], jobs: int) -> Translator:
+    """`translator` as a lookup over `surfaces`, called once per surface; jobs > 1
+    spreads the calls over processes, so the translator must then pickle."""
+    return dict(zip(surfaces, pmap(translator, surfaces, jobs))).__getitem__
 
 
-def _memoized(translator: Translator | None) -> Translator | None:
-    if translator is None:
-        return None
-    return functools.cache(lambda text: tuple(translator(text)))
-
-
-def _init_worker(recognizer, cfg, s2t, t2s) -> None:
-    _WORKER_STATE["recognizer"] = recognizer
-    _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["s2t"] = _memoized(s2t)
-    _WORKER_STATE["t2s"] = _memoized(t2s)
-
-
-def _align_one(pair: SentencePair) -> list[AlignedPair]:
-    recognizer = _WORKER_STATE["recognizer"]
-    src_spans = recognizer.recognize(pair.src, pair.id, "source")
-    tgt_spans = recognizer.recognize(pair.tgt, pair.id, "target")
-    return align_sentence_pair(pair, src_spans, tgt_spans, _WORKER_STATE["cfg"],
-                               _WORKER_STATE["s2t"], _WORKER_STATE["t2s"])
+def _match_task(task, cfg: AlignConfig, s2t: Translator | None,
+                t2s: Translator | None) -> list[AlignedPair]:
+    pair, src_spans, tgt_spans = task
+    return align_sentence_pair(pair, src_spans, tgt_spans, cfg, s2t, t2s)
 
 
 def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
@@ -303,15 +290,29 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
                  ) -> tuple[list[AlignedPair], list[NePair]]:
     """Align every sentence pair and aggregate the extracted entity pairs.
 
-    jobs > 1 fans sentences out to worker processes; outputs are identical
-    for any job count because results are consumed in corpus order. Each
-    process calls a translator once per distinct entity surface.
+    Recognizes every sentence in-process, decodes the distinct PER/LOC
+    surfaces of each enabled direction once, first occurrence first, then
+    matches the sentences. jobs > 1 fans out the decodes, then the
+    sentences, to processes; only the translators need to be picklable.
     """
-    try:
-        per_sentence = pmap(_align_one, corpus, jobs, _init_worker,
-                            (recognizer, cfg, s2t, t2s))
-    finally:
-        _WORKER_STATE.clear()  # the decode memos live for this run only
+    tasks = [(pair, recognizer.recognize(pair.src, pair.id, "source"),
+              recognizer.recognize(pair.tgt, pair.id, "target")) for pair in corpus]
+    missing = [(direction, side) for direction, translator, side in ((S2T, s2t, 1), (T2S, t2s, 2))
+               if translator is None and cfg.directions in (BOTH, direction)]
+    for task in tasks:  # a missing translator fails at its first span, before any decode
+        for direction, side in missing:
+            for ne in task[side]:
+                _candidates(ne, None, direction)
+
+    def decoded(translator: Translator | None, direction: str, side: int):
+        if translator is None or cfg.directions not in (BOTH, direction):
+            return None
+        surfaces = dict.fromkeys(s.surface for task in tasks for s in task[side]
+                                 if s.ne_type is not NeType.NT)
+        return decode_once(translator, list(surfaces), jobs)
+
+    match = partial(_match_task, cfg=cfg, s2t=decoded(s2t, S2T, 1), t2s=decoded(t2s, T2S, 2))
+    per_sentence = pmap(match, tasks, jobs)
 
     alignments: list[AlignedPair] = []
     counts: dict[tuple[str, str, NeType], int] = {}

@@ -8,9 +8,9 @@ diagnostic tools. Exit codes: 0 success, 1 usage or configuration problem,
 
 Every subcommand accepts `--config FILE` with `key = value` lines (`#`
 comments); command-line flags override file values, unknown keys are
-rejected. All randomness flows from `--seed`. Commands with `--jobs` fan
-work out to processes (`restore` only its model decode; the restoring
-itself is table lookups); outputs are byte-identical for any job count.
+rejected. All randomness flows from `--seed`. `--jobs` spreads over
+processes `align`'s decodes and then its sentences, `replace`'s sentences
+and `restore`'s model decode; outputs are byte-identical for any job count.
 """
 
 from __future__ import annotations
@@ -278,15 +278,17 @@ def _model_surfaces(sentences, symbol_map, table) -> list[str]:
 
 def cmd_restore(args) -> int:
     _require(args, "input", "symmap", "out", "src_lang", "tgt_lang")
+    for name in ("jobs", "beam"):
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name} must be >= 1, got {getattr(args, name)}")
     symbol_map = pipeline.read_symbol_map(args.symmap)
     table = pipeline.LexicalTable.read(args.lex) if args.lex else pipeline.LexicalTable()
     sentences = _read_sentences(args.input, args.tgt_lang)
     translator = None
     if args.model:
-        # one decode per distinct surface, however often its symbols recur
-        surfaces = _model_surfaces(sentences, symbol_map, table)
-        decoded = pmap(align.ModelTranslator(args.model, args.beam), surfaces, args.jobs)
-        translator = dict(zip(surfaces, decoded)).__getitem__
+        translator = align.decode_once(align.ModelTranslator(args.model, args.beam),
+                                       _model_surfaces(sentences, symbol_map, table),
+                                       args.jobs)
 
     # only table lookups once the surfaces are decoded: no workers
     results = [pipeline.restore(sentence, symbol_map.get(sid, []), table, translator,
@@ -462,7 +464,8 @@ def _build() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--max-ngram", type=int, default=3)
     p.add_argument("--beam", type=int, default=5)
     p.add_argument("--directions", choices=list(align.DIRECTIONS), default=align.BOTH)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the decodes, then for the sentences")
     p.add_argument("--out-alignments")
     p.add_argument("--out-pairs")
 
@@ -483,7 +486,7 @@ def _build() -> tuple[_Parser, dict[str, _Parser]]:
                    help="only replace spans containing unknown tokens")
     p.add_argument("--out")
     p.add_argument("--out-symmap")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the sentences")
 
     p = sub("extract-lex", cmd_extract_lex, "build a lexical table from pair TSV")
     p.add_argument("--pairs")

@@ -11,22 +11,17 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def pmap(func: Callable[[T], R], items: Sequence[T], jobs: int,
-         initializer: Callable[..., None] | None = None, initargs: tuple = ()) -> list[R]:
+def pmap(func: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
     """[func(item) for item in items], computed by `jobs` processes.
 
     Results come back in item order, so the output is the same for any job
-    count. `initializer(*initargs)` runs once in every process that calls
-    func: in each worker, or here when the items are mapped in-process
-    (jobs == 1, or fewer than two items).
+    count. func and the items go to the workers pickled; with jobs == 1, or
+    fewer than two items, they are mapped in-process and need not pickle.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(items) < 2:
-        if initializer is not None:
-            initializer(*initargs)
         return [func(item) for item in items]
     chunk = max(1, len(items) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs, initializer=initializer,
-                             initargs=initargs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(func, items, chunksize=chunk))

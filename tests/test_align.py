@@ -1,6 +1,8 @@
 import logging
 import pickle
+import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -45,6 +47,25 @@ class CountingTranslator(DictTranslator):
     def __call__(self, text):
         self.calls[text] += 1
         return super().__call__(text)
+
+
+class LoggingTranslator(DictTranslator):
+    """DictTranslator that appends each input to a file, so that calls made
+    in worker processes are counted too; picklable."""
+
+    def __init__(self, table, path):
+        super().__init__(table)
+        self.path = path
+
+    def __call__(self, text):
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        return super().__call__(text)
+
+    def calls(self):
+        if not self.path.exists():
+            return Counter()
+        return Counter(self.path.read_text(encoding="utf-8").splitlines())
 
 
 def pair(sid, src_tokens, tgt_tokens):
@@ -438,7 +459,7 @@ def test_align_corpus_is_job_count_invariant():
         align_corpus(small_corpus(), TwoSentenceRecognizer(), CFG, s2t, t2s, jobs=0)
 
 
-def test_align_corpus_decodes_each_surface_once_per_direction():
+def test_align_corpus_decodes_each_surface_once_per_direction(tmp_path):
     synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.0,
                                   oneside_drop=0.2)
     recognizer = AnnotationRecognizer(synthetic.annotations)
@@ -461,7 +482,61 @@ def test_align_corpus_decodes_each_surface_once_per_direction():
         assert len(set(surfaces)) < len(surfaces)  # names repeat, so decodes are saved
         assert translator.calls == Counter(set(surfaces))
     assert got[0] == by_sentence and len(by_sentence) > 0
-    assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=2) == got
+
+    # nor at jobs=2: calls made in the workers are logged too
+    logged = (LoggingTranslator(s2t_table, tmp_path / "s2t.log"),
+              LoggingTranslator(t2s_table, tmp_path / "t2s.log"))
+    assert align_corpus(synthetic.corpus, recognizer, CFG, *logged, jobs=2) == got
+    assert [t.calls() for t in logged] == [s2t.calls, t2s.calls]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_disabled_direction_is_never_decoded(tmp_path, jobs):
+    synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.0)
+    recognizer = AnnotationRecognizer(synthetic.annotations)
+    s2t = DictTranslator({p.src: [(p.tgt, 0.0)] for p in synthetic.train_pairs})
+    t2s = LoggingTranslator({p.tgt: [(p.src, 0.0)] for p in synthetic.train_pairs},
+                            tmp_path / "t2s.log")
+    cfg = AlignConfig(directions="s2t")
+    alignments, _ = align_corpus(synthetic.corpus, recognizer, cfg, s2t, t2s, jobs=jobs)
+    assert alignments and {a.direction for a in alignments} == {"s2t"}
+    assert t2s.calls() == Counter()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("missing, first", [
+    ("s2t", "PER span '波林' needs a s2t translator"),
+    ("t2s", "PER span 'bolin' needs a t2s translator"),
+    ("both", "PER span 'bolin' needs a t2s translator"),  # sentence 0 comes first
+], ids=["s2t", "t2s", "both"])
+def test_a_missing_translator_fails_at_its_first_span_before_any_decode(tmp_path, jobs,
+                                                                        missing, first):
+    corpus = [pair(0, ["说"], ["bolin", "said"]), pair(1, ["波林", "来"], ["bolin", "arrived"])]
+    s2t_table, t2s_table = ({"波林": [("bolin", 0.0)]}, {"bolin": [("波林", 0.0)]})
+    s2t = None if missing != "t2s" else LoggingTranslator(s2t_table, tmp_path / "s2t.log")
+    t2s = None if missing != "s2t" else LoggingTranslator(t2s_table, tmp_path / "t2s.log")
+    with pytest.raises(ConfigError, match=f"^{re.escape(first)}$"):
+        align_corpus(corpus, TwoSentenceRecognizer(), CFG, s2t, t2s, jobs=jobs)
+    assert all(t.calls() == Counter() for t in (s2t, t2s) if t is not None)
+
+
+def test_recognition_runs_in_process_and_needs_no_pickling():
+    synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.0)
+    annotated = AnnotationRecognizer(synthetic.annotations)
+    seen = []
+
+    def recognize(sentence, sentence_id, side):  # a closure: cannot be pickled
+        seen.append((sentence_id, side))
+        return annotated.recognize(sentence, sentence_id, side)
+
+    recognizer = SimpleNamespace(recognize=recognize)
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(recognizer)
+    s2t = DictTranslator({p.src: [(p.tgt, 0.0)] for p in synthetic.train_pairs})
+    t2s = DictTranslator({p.tgt: [(p.src, 0.0)] for p in synthetic.train_pairs})
+    got = align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=2)
+    assert seen == [(p.id, side) for p in synthetic.corpus for side in ("source", "target")]
+    assert got == align_corpus(synthetic.corpus, annotated, CFG, s2t, t2s, jobs=1)
 
 
 def test_gazetteer_aligns_the_same_across_job_counts():

@@ -387,7 +387,9 @@ def test_restore_sends_only_the_model_decode_to_workers(capsys, work, tiny_model
         calls.append((fn, list(items), jobs))
         return fan_out(fn, items, jobs, *args, **kwargs)
 
+    # the model decode fans out through align.decode_once
     monkeypatch.setattr(cli, "pmap", recording)
+    monkeypatch.setattr(cli.align, "pmap", recording)
     mt = work / "jobs_mt.en"
     mt.write_text("PER1 arrived\nPER1 left PER2\nwe met PER1 on NT1\n", encoding="utf-8")
     symmap = work / "jobs_symbols.tsv"
@@ -537,16 +539,44 @@ def test_replace_output_is_independent_of_jobs(work, nt_corpus, aligned_nt):
     assert outputs[0] == outputs[1]
 
 
-def test_jobs_must_be_positive(capsys, work, nt_corpus, aligned_nt):
-    zh, en, _ = nt_corpus
+def restore_inputs(work):
+    mt = work / "checked_mt.en"
+    mt.write_text("PER1 arrived\n", encoding="utf-8")
+    symmap = work / "checked_symbols.tsv"
+    symmap.write_text("0\tPER1\t安马\tPER\n", encoding="utf-8")
+    return ["--input", str(mt), "--symmap", str(symmap), "--src-lang", "zh",
+            "--tgt-lang", "en", "--out", str(work / "checked_restored.en")]
+
+
+@pytest.mark.parametrize("command", ["replace", "align", "restore"])
+def test_jobs_must_be_positive(capsys, work, nt_corpus, aligned_nt, command):
+    zh, en, ann = nt_corpus
     alignments, _ = aligned_nt
-    rc, _, err = run(capsys, "replace", "--alignments", str(alignments),
-                     "--src", str(zh), "--tgt", str(en),
-                     "--src-lang", "zh", "--tgt-lang", "en",
-                     "--out-src", str(work / "n.zh"), "--out-tgt", str(work / "n.en"),
-                     "--out-symmap", str(work / "n.tsv"), "--jobs", "0")
+    corpus = ["--src", str(zh), "--tgt", str(en), "--src-lang", "zh", "--tgt-lang", "en"]
+    argv = {
+        "replace": ["--alignments", str(alignments), *corpus,
+                    "--out-src", str(work / "n.zh"), "--out-tgt", str(work / "n.en"),
+                    "--out-symmap", str(work / "n.tsv")],
+        "align": [*corpus, "--annotations", str(ann),
+                  "--out-alignments", str(work / "n_alignments.tsv"),
+                  "--out-pairs", str(work / "n_pairs.tsv")],
+        "restore": restore_inputs(work),
+    }[command]
+    rc, _, err = run(capsys, command, *argv, "--jobs", "0")
     assert rc == 1
     assert "jobs" in err
+
+
+@pytest.mark.parametrize("with_model", [False, True])
+@pytest.mark.parametrize("flag, value", [("--jobs", "-2"), ("--beam", "0")])
+def test_restore_checks_jobs_and_beam_up_front(capsys, work, tiny_model, flag, value,
+                                               with_model):
+    argv = restore_inputs(work)
+    model = ["--model", str(tiny_model)] if with_model else []
+    rc, _, err = run(capsys, "restore", *argv, *model, flag, value)
+    assert rc == 1
+    assert f"{flag} must be >= 1" in err
+    assert not (work / "checked_restored.en").exists()
 
 
 # -- config files ------------------------------------------------------------------
