@@ -7,14 +7,18 @@ recognizer can still be aligned through the other. Numeric/temporal spans
 skip the translator and match on digit skeletons instead.
 
 The comparison is the LCS similarity of `simdist`, run as one
-bit-parallel pass per (candidate, start token): the other sentence is
-folded once, each candidate's masks are built once, and every n-gram's
-score is read off the bit vector when the pass reaches the n-gram's end.
+bit-parallel pass per start token that serves all of a span's candidates:
+the other sentence is folded once, the candidates sit side by side in one
+bit vector (the multi-pattern packing of Hyyrö, Fredriksson and Navarro
+2005), and every (n-gram, candidate) score is read off that vector when
+the pass reaches the n-gram's end.
 
-Names repeat across a corpus, so `align_corpus` recognizes every sentence,
-decodes each distinct surface of each direction once (`decode_once`, also
-used by `netrans restore`), then matches the sentences. This is exact, for
-any job count: translators are deterministic, so one decode serves every
+Names and numbers repeat across a corpus, so `align_corpus` recognizes
+every sentence, decodes each distinct surface of each direction once
+(`decode_once`, also used by `netrans restore`), normalizes each distinct
+`(text, lang)` the NT matching needs to its digit skeleton once, then
+matches the sentences. This is exact, for any job count: translators and
+`normalize_numeric` are deterministic, so one result serves every
 occurrence, and `pmap` returns results in input order.
 """
 
@@ -40,6 +44,8 @@ DIRECTIONS = (BOTH, S2T, T2S)
 
 # k-best: text -> [(candidate, logprob), ...]
 Translator = Callable[[str], Sequence[tuple[str, float]]]
+# (text, lang) -> digit skeleton
+Skeleton = Callable[[str, str], str]
 
 
 @dataclass(frozen=True)
@@ -76,36 +82,46 @@ class AlignedPair:
 
 def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
                other_tokens: Sequence[str], cfg: AlignConfig, *,
-               ne_lang: str, other_lang: str) -> tuple[int, int, float] | None:
+               ne_lang: str, other_lang: str,
+               skeleton: Skeleton | None = None) -> tuple[int, int, float] | None:
     """Best-scoring token range for one entity, or None below threshold.
 
     Ties prefer the shorter range, then the leftmost, then the higher-ranked
     candidate. A candidate/range pair longer than `simdist.MAX_CHARS` folded
     characters counts as no match.
 
-    PER/LOC ranges are scored in one bit-parallel LCS pass per (candidate,
-    start): the bit vector after a prefix of the text already holds the
-    LCS against that prefix, so the pass over a start's `max_ngram` tokens
-    and their joining spaces reads every n-gram's score at its end. The
-    scores are the integer ratios `simdist.similarity` gives, because
-    folding commutes with joining tokens by spaces, so the result is the
-    same as comparing each range on its own. NT ranges match on digit
-    skeletons, which are computed per range.
+    PER/LOC ranges are scored in one bit-parallel LCS pass per start token
+    that serves every candidate at once: each candidate that fits
+    `MAX_CHARS` owns a segment of one bit vector, with a zero guard bit
+    above it. `v - u` never borrows, because `u` is a subset of `v`, and
+    the carry out of a segment's top bit lands in its guard bit, which
+    `& full` clears, so each segment evolves exactly as that candidate's
+    own vector would. The bit vector after a prefix of the text already
+    holds the LCS against that prefix, so the pass over a start's
+    `max_ngram` tokens and their joining spaces reads every n-gram's score,
+    per candidate, at its end. The scores are the integer ratios
+    `simdist.similarity` gives, because folding commutes with joining
+    tokens by spaces, so the result is the same as comparing each range
+    with each candidate on its own.
+
+    NT ranges match on digit skeletons: `skeleton(text, lang)` gives them,
+    by default `numnorm.normalize_numeric`; `align_corpus` passes a lookup
+    into the skeletons it computed once for the whole run.
     """
     n = len(other_tokens)
     threshold = cfg.sim_threshold
     hits = []  # (-score, width, start, rank) of every range at or above threshold
     too_long = 0
     if ne.ne_type is NeType.NT:
-        skeleton = numnorm.normalize_numeric(ne.surface, ne_lang)
-        if not skeleton:
+        skeleton = skeleton or numnorm.normalize_numeric
+        wanted = skeleton(ne.surface, ne_lang)
+        if not wanted:
             return None  # every range would score 0.0, below any threshold
         for start in range(n):
             for end in range(start + 1, min(start + cfg.max_ngram, n) + 1):
                 text = " ".join(other_tokens[start:end])
                 try:
-                    score = numnorm.skeleton_similarity(
-                        skeleton, numnorm.normalize_numeric(text, other_lang))
+                    score = numnorm.skeleton_similarity(wanted, skeleton(text, other_lang))
                 except LengthLimitError:
                     too_long += 1
                     continue
@@ -118,31 +134,38 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
                 f"no translation candidates for {ne.ne_type.value} span {ne.surface!r}")
         folded = [simdist.fold(t) for t in other_tokens]
         stops = [min(start + cfg.max_ngram, n) for start in range(n)]
+        packed = []  # (rank, segment mask, length) of each candidate that fits
+        masks: dict[str, int] = {}
+        offset = 0
         for rank, cand in enumerate(scored):
             m = len(cand)
             if m > simdist.MAX_CHARS:
                 too_long += sum(stop - start for start, stop in enumerate(stops))
                 continue
-            masks = simdist.char_masks(cand)
-            full = (1 << m) - 1
-            space = masks.get(" ", 0)
-            # a character the candidate lacks leaves the bit vector as it is
-            token_masks = [[x for x in map(masks.get, tok) if x] for tok in folded]
-            for start, stop in enumerate(stops):
-                v = full
-                length = -1
-                for end in range(start + 1, stop + 1):
-                    length += len(folded[end - 1]) + 1
-                    if length > simdist.MAX_CHARS:
-                        too_long += stop - end + 1  # the fragment only grows
-                        break
-                    if end > start + 1 and space:
-                        u = v & space
-                        v = ((v + u) | (v - u)) & full
-                    for x in token_masks[end - 1]:
-                        u = v & x
-                        v = ((v + u) | (v - u)) & full
-                    score = (m - v.bit_count()) / m
+            for ch, x in simdist.char_masks(cand).items():
+                masks[ch] = masks.get(ch, 0) | (x << offset)
+            packed.append((rank, ((1 << m) - 1) << offset, m))
+            offset += m + 1  # the guard bit stays clear
+        full = sum(seg for _, seg, _ in packed)
+        space = masks.get(" ", 0)
+        # a character no candidate has leaves the bit vector as it is
+        token_masks = [[x for x in map(masks.get, tok) if x] for tok in folded]
+        for start, stop in enumerate(stops):
+            v = full
+            length = -1
+            for end in range(start + 1, stop + 1):
+                length += len(folded[end - 1]) + 1
+                if length > simdist.MAX_CHARS:
+                    too_long += (stop - end + 1) * len(packed)  # the fragment only grows
+                    break
+                if end > start + 1 and space:
+                    u = v & space
+                    v = ((v + u) | (v - u)) & full
+                for x in token_masks[end - 1]:
+                    u = v & x
+                    v = ((v + u) | (v - u)) & full
+                for rank, seg, m in packed:
+                    score = (m - (v & seg).bit_count()) / m
                     if score >= threshold:
                         hits.append((-score, end - start, start, rank))
     if too_long:
@@ -173,13 +196,15 @@ def _overlaps(a_start: int, a_end: int, b_start: int, b_end: int) -> bool:
 def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
                         tgt_spans: Sequence[NeSpan], cfg: AlignConfig,
                         s2t: Translator | None = None,
-                        t2s: Translator | None = None) -> list[AlignedPair]:
+                        t2s: Translator | None = None, *,
+                        skeleton: Skeleton | None = None) -> list[AlignedPair]:
     """Union of both matching directions for one sentence pair.
 
     Matches whose source and target ranges both overlap collapse into a
     single direction="both" pair keeping each direction's recognized span
     and the higher score. Remaining conflicts are resolved score-first
-    (then s2t before t2s), one link per token on either side.
+    (then s2t before t2s), one link per token on either side. `skeleton`
+    goes to `match_span` for the NT spans.
     """
     src_spans = _spans_for(pair, src_spans, "source")
     tgt_spans = _spans_for(pair, tgt_spans, "target")
@@ -188,8 +213,8 @@ def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
     if cfg.directions in (BOTH, S2T):
         for ne in src_spans:
             cands = _candidates(ne, s2t, S2T)
-            hit = match_span(ne, cands, pair.tgt.tokens, cfg,
-                             ne_lang=pair.src.lang, other_lang=pair.tgt.lang)
+            hit = match_span(ne, cands, pair.tgt.tokens, cfg, ne_lang=pair.src.lang,
+                             other_lang=pair.tgt.lang, skeleton=skeleton)
             if hit:
                 start, end, score = hit
                 fwd.append(AlignedPair(pair.id, ne.start, ne.end, start, end,
@@ -199,8 +224,8 @@ def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
     if cfg.directions in (BOTH, T2S):
         for ne in tgt_spans:
             cands = _candidates(ne, t2s, T2S)
-            hit = match_span(ne, cands, pair.src.tokens, cfg,
-                             ne_lang=pair.tgt.lang, other_lang=pair.src.lang)
+            hit = match_span(ne, cands, pair.src.tokens, cfg, ne_lang=pair.tgt.lang,
+                             other_lang=pair.src.lang, skeleton=skeleton)
             if hit:
                 start, end, score = hit
                 rev.append(AlignedPair(pair.id, start, end, ne.start, ne.end,
@@ -278,10 +303,44 @@ def decode_once(translator: Translator, surfaces: Sequence[str], jobs: int) -> T
     return dict(zip(surfaces, pmap(translator, surfaces, jobs))).__getitem__
 
 
+def _skeleton_of(skeletons: dict[tuple[str, str], str], text: str, lang: str) -> str:
+    return skeletons[text, lang]
+
+
+def _nt_skeletons(tasks, cfg: AlignConfig) -> Skeleton:
+    """The digit skeletons NT matching asks for over (pair, source spans,
+    target spans) tasks, as a `(text, lang)` lookup.
+
+    Each NT surface of an enabled direction is normalized, and so is every
+    n-gram of the other side when one of the sentence side's NT skeletons is
+    non-empty, as `match_span` needs them. Each distinct `(text, lang)` is
+    normalized once, in-process, first occurrence first.
+    """
+    skeletons: dict[tuple[str, str], str] = {}
+
+    def need(text: str, lang: str) -> str:
+        if (text, lang) not in skeletons:
+            skeletons[text, lang] = numnorm.normalize_numeric(text, lang)
+        return skeletons[text, lang]
+
+    for pair, src_spans, tgt_spans in tasks:
+        for direction, spans, own, other in ((S2T, src_spans, pair.src, pair.tgt),
+                                             (T2S, tgt_spans, pair.tgt, pair.src)):
+            if cfg.directions not in (BOTH, direction):
+                continue
+            wanted = [need(ne.surface, own.lang) for ne in spans if ne.ne_type is NeType.NT]
+            if any(wanted):
+                n = len(other.tokens)
+                for start in range(n):
+                    for end in range(start + 1, min(start + cfg.max_ngram, n) + 1):
+                        need(" ".join(other.tokens[start:end]), other.lang)
+    return partial(_skeleton_of, skeletons)
+
+
 def _match_task(task, cfg: AlignConfig, s2t: Translator | None,
-                t2s: Translator | None) -> list[AlignedPair]:
+                t2s: Translator | None, skeleton: Skeleton) -> list[AlignedPair]:
     pair, src_spans, tgt_spans = task
-    return align_sentence_pair(pair, src_spans, tgt_spans, cfg, s2t, t2s)
+    return align_sentence_pair(pair, src_spans, tgt_spans, cfg, s2t, t2s, skeleton=skeleton)
 
 
 def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
@@ -291,8 +350,9 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
     """Align every sentence pair and aggregate the extracted entity pairs.
 
     Recognizes every sentence in-process, decodes the distinct PER/LOC
-    surfaces of each enabled direction once, first occurrence first, then
-    matches the sentences. jobs > 1 fans out the decodes, then the
+    surfaces of each enabled direction once, first occurrence first,
+    normalizes the digit skeletons NT matching needs once (`_nt_skeletons`),
+    then matches the sentences. jobs > 1 fans out the decodes, then the
     sentences, to processes; only the translators need to be picklable.
     """
     tasks = [(pair, recognizer.recognize(pair.src, pair.id, "source"),
@@ -311,7 +371,8 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
                                  if s.ne_type is not NeType.NT)
         return decode_once(translator, list(surfaces), jobs)
 
-    match = partial(_match_task, cfg=cfg, s2t=decoded(s2t, S2T, 1), t2s=decoded(t2s, T2S, 2))
+    match = partial(_match_task, cfg=cfg, s2t=decoded(s2t, S2T, 1), t2s=decoded(t2s, T2S, 2),
+                    skeleton=_nt_skeletons(tasks, cfg))
     per_sentence = pmap(match, tasks, jobs)
 
     alignments: list[AlignedPair] = []

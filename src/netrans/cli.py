@@ -262,20 +262,6 @@ def cmd_extract_lex(args) -> int:
     return 0
 
 
-def _model_surfaces(sentences, symbol_map, table) -> list[str]:
-    """The distinct surfaces restore asks its translator for, first occurrence
-    first: those of the input's PER/LOC symbols that the lexical table misses."""
-    surfaces: dict[str, None] = {}
-    for sid, sentence in enumerate(sentences):
-        by_symbol = {e.symbol: e for e in symbol_map.get(sid, [])}
-        for token in sentence.tokens:
-            entry = by_symbol.get(token)
-            if (entry is not None and entry.ne_type is not NeType.NT
-                    and not table.best(entry.surface)):
-                surfaces[entry.surface] = None
-    return list(surfaces)
-
-
 def cmd_restore(args) -> int:
     _require(args, "input", "symmap", "out", "src_lang", "tgt_lang")
     for name in ("jobs", "beam"):
@@ -284,30 +270,13 @@ def cmd_restore(args) -> int:
     symbol_map = pipeline.read_symbol_map(args.symmap)
     table = pipeline.LexicalTable.read(args.lex) if args.lex else pipeline.LexicalTable()
     sentences = _read_sentences(args.input, args.tgt_lang)
-    translator = None
-    if args.model:
-        translator = align.decode_once(align.ModelTranslator(args.model, args.beam),
-                                       _model_surfaces(sentences, symbol_map, table),
-                                       args.jobs)
-
-    # only table lookups once the surfaces are decoded: no workers
-    results = [pipeline.restore(sentence, symbol_map.get(sid, []), table, translator,
-                                src_lang=args.src_lang, tgt_lang=args.tgt_lang)
-               for sid, sentence in enumerate(sentences)]
-    _write_rows(args.out, [sentence.text() for sentence, _ in results])
-
-    totals = pipeline.RestoreReport()
-    for _, report in results:
-        totals.from_table += report.from_table
-        totals.from_model += report.from_model
-        totals.from_rules += report.from_rules
-        totals.dropped += report.dropped
-        totals.unrealized += report.unrealized
-    print(f"from_table\t{totals.from_table}")
-    print(f"from_model\t{totals.from_model}")
-    print(f"from_rules\t{totals.from_rules}")
-    print(f"dropped\t{totals.dropped}")
-    print(f"unrealized\t{totals.unrealized}")
+    translator = align.ModelTranslator(args.model, args.beam) if args.model else None
+    restored, totals = pipeline.restore_corpus(sentences, symbol_map, table, translator,
+                                               jobs=args.jobs, src_lang=args.src_lang,
+                                               tgt_lang=args.tgt_lang)
+    _write_rows(args.out, [sentence.text() for sentence in restored])
+    for name, n in vars(totals).items():
+        print(f"{name}\t{n}")
     return 0
 
 

@@ -12,16 +12,19 @@ R = TypeVar("R")
 
 
 def pmap(func: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
-    """[func(item) for item in items], computed by `jobs` processes.
+    """[func(item) for item in items], computed by up to `jobs` processes.
 
     Results come back in item order, so the output is the same for any job
     count. func and the items go to the workers pickled; with jobs == 1, or
     fewer than two items, they are mapped in-process and need not pickle.
+    No more workers start than there are items: the pool forks all of them
+    at the first submit, whether they get work or not.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(items) < 2:
         return [func(item) for item in items]
-    chunk = max(1, len(items) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(items))
+    chunk = max(1, len(items) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, items, chunksize=chunk))

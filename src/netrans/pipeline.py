@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .align import AlignedPair
+from .align import AlignedPair, decode_once
 from .core import NePair, NeSpan, NeType, Sentence, SentencePair, _read_lines
 from .errors import ContractError, ParseError
 from .numnorm import month_name, month_number
@@ -274,6 +274,40 @@ def restore(sentence: Sentence, entries: Sequence[SymbolEntry], table: LexicalTa
             out.extend(realized.split())
     report.unrealized += sum(1 for symbol in by_symbol if symbol not in seen)
     return Sentence(tuple(out), sentence.lang), report
+
+
+def restore_corpus(sentences: Sequence[Sentence], symbol_map: dict[int, Sequence[SymbolEntry]],
+                   table: LexicalTable, translator=None, *, jobs: int = 1, src_lang: str,
+                   tgt_lang: str) -> tuple[list[Sentence], RestoreReport]:
+    """`restore` over MT output sentences, with sentence i's entries at
+    symbol_map[i]; returns the restored sentences and one summed report.
+
+    The translator is called once per distinct PER/LOC surface that the
+    table misses, first occurrence first, through `align.decode_once` (jobs
+    > 1 spreads those calls over processes, so it must then pickle). This is
+    exact: translators are deterministic, and `restore` asks for exactly
+    these surfaces, so a raising translator still fails on the first one in
+    corpus order.
+    """
+    if translator is not None:
+        surfaces: dict[str, None] = {}
+        for sid, sentence in enumerate(sentences):
+            by_symbol = {e.symbol: e for e in symbol_map.get(sid, ())}
+            for token in sentence.tokens:
+                entry = by_symbol.get(token) if PLACEHOLDER_RE.match(token) else None
+                if (entry is not None and entry.ne_type is not NeType.NT
+                        and not table.best(entry.surface)):
+                    surfaces[entry.surface] = None
+        translator = decode_once(translator, list(surfaces), jobs)
+    totals = RestoreReport()
+    restored = []
+    for sid, sentence in enumerate(sentences):
+        out, report = restore(sentence, symbol_map.get(sid, ()), table, translator,
+                              src_lang=src_lang, tgt_lang=tgt_lang)
+        restored.append(out)
+        for name, n in vars(report).items():
+            setattr(totals, name, getattr(totals, name) + n)
+    return restored, totals
 
 
 def _realize(entry: SymbolEntry, table: LexicalTable, translator,

@@ -23,10 +23,14 @@ fragment are NFC-normalized and lowercased before comparison, so
 compare raw scalar sequences.
 
 After each character of the scanned string the bit vector already holds
-the LCS against the prefix scanned so far, and folding a space-joined text equals joining its
-folded tokens.  ``align.match_span`` uses both to score every n-gram that
-starts at one token in a single pass with the same kernel steps, so
-``similarity`` here is the one-off form (``netrans sim``, the tests).
+the LCS against the prefix scanned so far, and folding a space-joined text
+equals joining its folded tokens.  ``align.match_span`` uses both to score
+every n-gram that starts at one token in a single pass with the same kernel
+steps, and packs all of a span's candidates into one bit vector, each in
+its own segment with a zero guard bit above it (Hyyrö, Fredriksson and
+Navarro 2005, "Increased bit-parallelism for approximate and multiple
+string matching"), so one pass serves every candidate.  ``similarity``
+here is the one-off form (``netrans sim``, the tests).
 
 ``BACKEND`` names this kernel.  It stays a constant because benchmark
 results record it and refuse to compare runs made with different kernels.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from netrans import numnorm, simdist, synth
+from netrans import align, numnorm, simdist, synth
 from netrans.align import (
     AlignConfig,
     AlignedPair,
@@ -238,10 +238,15 @@ ORACLE_CHARS = "abzABZΣςσİßé\u0301北京"
 # over-long alone, or only once joined to a neighbour (1020 + 1 + 4 > 1024);
 # "İ" * 520 is short before folding and 1,040 chars after
 LONG_TOKENS = ["a" * 1020, "İ" * 520, "ß" * 1025, "7" * 1030]
+# runs of one character against candidates of the same character carry out of
+# a packed candidate's top bit into its guard bit
+A_RUNS = st.integers(1, 9).map(lambda k: "a" * k)
 ORACLE_TOKENS = st.one_of(
     st.text(ORACLE_CHARS, min_size=1, max_size=6),
     st.sampled_from(["4.2%", "42", "october", "5", "2005", "十月"]),
-    st.sampled_from(LONG_TOKENS))
+    st.sampled_from(LONG_TOKENS),
+    A_RUNS)
+OVERLONG_CANDIDATES = ["x" * 1025, "İ" * 513]
 
 
 @settings(max_examples=500, deadline=None,
@@ -256,11 +261,16 @@ ORACLE_TOKENS = st.one_of(
 def test_match_span_equals_the_reference_loop(caplog, data, ne_type, nt_surface, tokens,
                                               threshold, max_ngram):
     texts = [st.text(ORACLE_CHARS + " ", max_size=8),
-             st.sampled_from(["", "x" * 1025, "İ" * 513, "Σ" * 1024])]
+             st.sampled_from(["", *OVERLONG_CANDIDATES, "Σ" * 1024]),
+             A_RUNS, st.sampled_from(["aa a", "a aa"])]
     if tokens:
         texts.append(candidate(tokens))
     candidates = data.draw(st.lists(st.tuples(st.one_of(texts), st.floats(-9.0, 0.0)),
                                     min_size=1, max_size=5))
+    if len(candidates) > 1 and data.draw(st.booleans()):
+        # an over-long candidate between short ones: the packed ranks skip it
+        candidates.insert(data.draw(st.integers(1, len(candidates) - 1)),
+                          (data.draw(st.sampled_from(OVERLONG_CANDIDATES)), -1.0))
     surface = nt_surface if ne_type is NeType.NT else "某某"
     ne = NeSpan(3, "source", 0, 1, ne_type, surface)
     cfg = AlignConfig(sim_threshold=threshold, max_ngram=max_ngram)
@@ -269,6 +279,23 @@ def test_match_span_equals_the_reference_loop(caplog, data, ne_type, nt_surface,
     want = outcome(caplog, reference_match_span, ne, candidates, tokens, cfg,
                    ne_lang="zh", other_lang="en")
     assert got == want
+
+
+@pytest.mark.parametrize("threshold", [0.2, 0.6, 0.75, 1.0])
+@pytest.mark.parametrize("max_ngram", [1, 2, 3, 4])
+def test_packed_runs_of_one_character_equal_the_reference_loop(caplog, threshold, max_ngram):
+    # every update carries into some guard bit; the over-long token makes
+    # the fragments through it warn once per packed candidate
+    ne = per_span(5, "source", 0, 1, "阿阿")
+    candidates = [("a" * k, -k / 10) for k in (9, 1, 5, 3, 7)]
+    tokens = ("aaaa", "a", "a" * 1022, "aa", "a" * 9, "aaa")
+    cfg = AlignConfig(sim_threshold=threshold, max_ngram=max_ngram)
+    got = outcome(caplog, match_span, ne, candidates, tokens, cfg,
+                  ne_lang="zh", other_lang="en")
+    want = outcome(caplog, reference_match_span, ne, candidates, tokens, cfg,
+                   ne_lang="zh", other_lang="en")
+    assert got == want and got[0] is not None
+    assert bool(got[1]) == (max_ngram > 1)
 
 
 def test_per_spans_make_no_similarity_calls(monkeypatch):
@@ -518,6 +545,35 @@ def test_a_missing_translator_fails_at_its_first_span_before_any_decode(tmp_path
     with pytest.raises(ConfigError, match=f"^{re.escape(first)}$"):
         align_corpus(corpus, TwoSentenceRecognizer(), CFG, s2t, t2s, jobs=jobs)
     assert all(t.calls() == Counter() for t in (s2t, t2s) if t is not None)
+
+
+def test_align_corpus_normalizes_each_nt_text_once(monkeypatch):
+    synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.1)
+    recognizer = AnnotationRecognizer(synthetic.annotations)
+    s2t = DictTranslator({p.src: [(p.tgt, 0.0)] for p in synthetic.train_pairs})
+    t2s = DictTranslator({p.tgt: [(p.src, 0.0)] for p in synthetic.train_pairs})
+    calls = []
+    real = numnorm.normalize_numeric
+
+    def counting(text, lang, table=None):
+        calls.append((text, lang))
+        return real(text, lang, table)
+
+    monkeypatch.setattr(numnorm, "normalize_numeric", counting)
+    with monkeypatch.context() as unplanned:  # no plan: each NT span normalizes on its own
+        unplanned.setattr(align, "_nt_skeletons", lambda tasks, cfg: None)
+        want = align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s)
+    per_span_calls = Counter(calls)
+    assert max(per_span_calls.values()) > 1  # texts repeat, so normalizations are saved
+    assert any(a.ne_type is NeType.NT for a in want[0])
+
+    planned = []
+    for jobs in (1, 2):
+        calls.clear()
+        assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=jobs) == want
+        planned.append(list(calls))
+    assert planned[0] == planned[1]  # in-process, whatever the job count
+    assert Counter(planned[0]) == Counter(set(per_span_calls))
 
 
 def test_recognition_runs_in_process_and_needs_no_pickling():

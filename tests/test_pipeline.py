@@ -19,6 +19,7 @@ from netrans.pipeline import (
     replace_test_sentence,
     replace_training_pair,
     restore,
+    restore_corpus,
     unescape_token,
     write_symbol_map,
 )
@@ -332,6 +333,102 @@ def test_model_candidates_skip_empty_strings():
                                translator, src_lang="zh", tgt_lang="en")
     assert restored.tokens == ("anna",)
     assert report.from_model == 1
+
+
+class LoggingOneBest(OneBest):
+    """OneBest that logs each surface asked for to a file, so that calls made
+    in worker processes are seen too; picklable."""
+
+    def __init__(self, answers, path):
+        super().__init__(answers)
+        self.path = path
+
+    def __call__(self, surface):
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(surface + "\n")
+        return super().__call__(surface)
+
+    def calls(self):
+        return self.path.read_text(encoding="utf-8").splitlines() if self.path.exists() else []
+
+
+class FailingOneBest:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, surface):
+        self.calls.append(surface)
+        raise RuntimeError(f"cannot decode {surface}")
+
+
+def mt_corpus():
+    """MT output with repeated unseen names, a table hit, an NT symbol, a
+    dropped symbol, a placeholder-like token the map also names, and an
+    entry never realized."""
+    sentences = [Sentence(("PER1", "arrived", "in", "LOC1"), "en"),
+                 Sentence(("LOC1", "welcomed", "PER2", "and", "PER1"), "en"),
+                 Sentence(("on", "NT1", "PER1", "left", "PER9"), "en"),
+                 Sentence(("nothing", "here"), "en"),
+                 Sentence(("PER01", "met", "PER1"), "en")]
+    symbol_map = {
+        0: [SymbolEntry(0, "PER1", "马克", NeType.PER), SymbolEntry(0, "LOC1", "巴林", NeType.LOC)],
+        1: [SymbolEntry(1, "LOC1", "北京", NeType.LOC), SymbolEntry(1, "PER1", "马克", NeType.PER),
+            SymbolEntry(1, "PER2", "安娜", NeType.PER)],
+        2: [SymbolEntry(2, "NT1", "十月", NeType.NT), SymbolEntry(2, "PER1", "波林", NeType.PER)],
+        4: [SymbolEntry(4, "PER01", "不见", NeType.PER), SymbolEntry(4, "PER1", "安娜", NeType.PER),
+            SymbolEntry(4, "PER2", "莫名", NeType.PER)],
+    }
+    table = extract_lexical_table([NePair("北京", "beijing", NeType.LOC)])
+    answers = {"马克": [("mark", -0.1)], "巴林": [("", -0.1), ("bahrain", -0.5)],
+               "安娜": [("anna", -0.2)], "波林": [("", -0.3)], "不见": [("unseen", -0.1)],
+               "莫名": [("moming", -0.1)]}
+    return sentences, symbol_map, table, answers
+
+
+def per_sentence(sentences, symbol_map, table, translator):
+    """`restore_corpus` spelled out: one `restore` per sentence, reports summed."""
+    restored, totals = [], RestoreReport()
+    for sid, sentence in enumerate(sentences):
+        out, report = restore(sentence, symbol_map.get(sid, []), table, translator,
+                              src_lang="zh", tgt_lang="en")
+        restored.append(out)
+        for name in ("from_table", "from_model", "from_rules", "dropped", "unrealized"):
+            setattr(totals, name, getattr(totals, name) + getattr(report, name))
+    return restored, totals
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_restore_corpus_decodes_each_missed_surface_once(tmp_path, jobs):
+    sentences, symbol_map, table, answers = mt_corpus()
+    translator = LoggingOneBest(answers, tmp_path / "calls.log")
+    got = restore_corpus(sentences, symbol_map, table, translator, jobs=jobs,
+                         src_lang="zh", tgt_lang="en")
+    # first occurrence first; not the table hit, the NT symbol, the escaped-looking
+    # PER01 nor the entry missing from the output
+    assert sorted(translator.calls()) == sorted(["马克", "巴林", "安娜", "波林"])
+    if jobs == 1:
+        assert translator.calls() == ["马克", "巴林", "安娜", "波林"]
+    assert got == per_sentence(sentences, symbol_map, table, OneBest(answers))
+    restored, report = got
+    assert [s.text() for s in restored] == [
+        "mark arrived in bahrain", "beijing welcomed anna and mark", "on October PER1 left",
+        "nothing here", "PER01 met anna"]
+    assert vars(report) == {"from_table": 1, "from_model": 5, "from_rules": 1, "dropped": 1,
+                            "unrealized": 3}
+
+
+def test_restore_corpus_without_a_translator_decodes_nothing():
+    sentences, symbol_map, table, answers = mt_corpus()
+    assert (restore_corpus(sentences, symbol_map, table, src_lang="zh", tgt_lang="en")
+            == per_sentence(sentences, symbol_map, table, None))
+
+
+def test_restore_corpus_fails_on_the_first_missed_surface():
+    sentences, symbol_map, table, _ = mt_corpus()
+    translator = FailingOneBest()
+    with pytest.raises(RuntimeError, match="cannot decode 马克"):
+        restore_corpus(sentences, symbol_map, table, translator, src_lang="zh", tgt_lang="en")
+    assert translator.calls == ["马克"]
 
 
 def test_model_with_no_usable_candidate_leaves_the_symbol():
