@@ -393,12 +393,17 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
 
 # -- translators and file formats ------------------------------------------
 
+# path -> (the file's trailing sha256, the model loaded from it)
 _MODEL_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
 class ModelTranslator:
-    """K-best translator backed by a model file; loads lazily per process."""
+    """K-best translator backed by a model file.
+
+    Loads lazily, once per process and file contents: a model saved over
+    the same path is loaded afresh, found by the digest the file ends with.
+    """
 
     path: str
     beam_width: int = 5
@@ -406,11 +411,11 @@ class ModelTranslator:
     def __call__(self, text: str) -> list[tuple[str, float]]:
         from .neural import beam, io
 
-        model = _MODEL_CACHE.get(self.path)
-        if model is None:
-            model = io.load_model(self.path)
-            _MODEL_CACHE[self.path] = model
-        return beam.translate(model, text, self.beam_width)
+        digest = io.stored_digest(self.path)
+        cached = _MODEL_CACHE.get(self.path)
+        if cached is None or cached[0] != digest:
+            cached = _MODEL_CACHE[self.path] = (digest, io.load_model(self.path))
+        return beam.translate(cached[1], text, self.beam_width)
 
 
 def write_alignments(alignments: Sequence[AlignedPair], path) -> None:
@@ -432,9 +437,14 @@ def read_alignments(path) -> list[AlignedPair]:
         try:
             if cols[7] not in DIRECTIONS:
                 raise ValueError(f"unknown direction {cols[7]!r}")
-            out.append(AlignedPair(int(cols[0]), int(cols[1]), int(cols[2]),
-                                   int(cols[3]), int(cols[4]), NeType.parse(cols[5]),
-                                   float(cols[6]), cols[7]))
+            row = AlignedPair(int(cols[0]), int(cols[1]), int(cols[2]),
+                              int(cols[3]), int(cols[4]), NeType.parse(cols[5]),
+                              float(cols[6]), cols[7])
+            for side, start, end in (("source", row.src_start, row.src_end),
+                                     ("target", row.tgt_start, row.tgt_end)):
+                if start < 0 or start >= end:
+                    raise ValueError(f"empty or negative {side} range [{start}, {end})")
+            out.append(row)
         except ValueError as exc:
             raise ParseError(str(exc), path, i + 1) from None
     return out

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -48,6 +49,18 @@ def save_model(model: Seq2SeqModel, path: str) -> None:
     blob += hashlib.sha256(blob).digest()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
+
+
+def stored_digest(path: str) -> bytes:
+    """The sha256 a model file ends with, read without reading the rest.
+
+    It names the file's contents exactly, where size and mtime do not. A
+    file too short to hold one yields what it has; `load_model` rejects it.
+    """
+    with open(path, "rb") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(max(0, size - _DIGEST_LEN))
+        return fh.read()
 
 
 def load_model(path: str) -> Seq2SeqModel:

@@ -19,14 +19,16 @@ out. Update parameters in place, as the optimizer and the best-checkpoint
 restore do, and every cell sees the change; rebinding a tensor or the
 vector cuts it loose.
 
-Training is batch size 1. A decode step takes one state or the beam's
-live states stacked as rows; the attention is the same code for both, with
-the rows as leading axes. The backward pass is written out by hand next
-to the forward pass it mirrors; `loss_and_grads` returns unnormalized sums
-so callers can weight batches however they like. Every product and sum
-keeps the operand order of a plain per-tensor, per-step implementation, so
-the numbers are bit-identical to it; the speed comes from making fewer
-numpy calls, not from reassociating arithmetic.
+One teacher-forced forward, `_forward`, serves training (`loss_and_grads`,
+batch size 1), the dev loss and the gradient check (`nll`) and scoring
+(`sequence_logprob`). A decode step takes one state or the beam's live
+states stacked as rows; the attention and the output layer are the same
+code for both, with the rows as leading axes. The backward pass is written
+out by hand; `loss_and_grads` returns unnormalized sums so callers can
+weight batches however they like. Every product and sum keeps the operand
+order of a plain per-tensor, per-step implementation, so the numbers are
+bit-identical to it; the speed comes from making fewer numpy calls, not
+from reassociating arithmetic.
 """
 
 from __future__ import annotations
@@ -275,15 +277,15 @@ class Seq2SeqModel:
 
     def encode(self, src_ids) -> np.ndarray:
         """Encoder states, one row of width 2*hidden per source position."""
-        enc, _ = self._encode(src_ids, self._enc)
+        enc, _ = self._encode(src_ids)
         return enc
 
-    def _encode(self, src_ids, gru: _Gru):
+    def _encode(self, src_ids):
         """(encoder states, step caches).
 
-        The two directions run in lock-step as the two lanes of `gru`: at
-        step i the forward lane reads position i and the backward lane
-        position m - 1 - i.
+        The two directions run in lock-step as the two lanes of the encoder
+        cell: at step i the forward lane reads position i and the backward
+        lane position m - 1 - i.
         """
         src_ids = list(src_ids)
         if not src_ids:
@@ -295,12 +297,12 @@ class Seq2SeqModel:
         m = len(src_ids)
         xs = self.params["src_emb"][src_ids]
         xs = np.stack([xs, xs[::-1]], axis=1)
-        xws = gru.inputs(xs)
+        xws = self._enc.inputs(xs)
         states = np.empty((m, 2, self.config.hidden_size))
         caches = []
         h = np.zeros(states.shape[1:])
         for i in range(m):
-            h, cache = gru.forward(xs[i], h, xws[i])
+            h, cache = self._enc.forward(xs[i], h, xws[i])
             states[i] = h
             caches.append(cache)
         return np.concatenate([states[:, 0], states[::-1, 1]], axis=1), caches
@@ -389,12 +391,55 @@ class Seq2SeqModel:
         emb = p["tgt_emb"][y_prev]
         _, ctx, _ = self._attention_forward(s_prev, enc, att_enc)
         s_new, _ = self._dec.forward(np.concatenate([emb, ctx], axis=-1), s_prev)
-        out = np.concatenate([s_new, ctx, emb], axis=-1)
-        logits = (out[..., None, :] @ p["out_w"])[..., 0, :] + p["out_b"]
-        logits[..., _MASKED_IDS] = -np.inf
-        return _log_softmax(logits), s_new
+        return self._output(np.concatenate([s_new, ctx, emb], axis=-1)), s_new
 
-    # -- scoring -----------------------------------------------------------
+    def _output(self, outs: np.ndarray) -> np.ndarray:
+        """Log-probs over the target vocab for one output o = [s, ctx, emb] or rows of them."""
+        p = self.params
+        logits = (outs[..., None, :] @ p["out_w"])[..., 0, :] + p["out_b"]
+        logits[..., _MASKED_IDS] = -np.inf
+        return _log_softmax(logits)
+
+    # -- teacher-forced forward: scoring, loss and gradients ----------------
+
+    def _forward(self, src_ids, tgt_ids):
+        """Teacher-forced pass over tgt_ids + <eos>: (out_ids, log-probs, cache).
+
+        The recurrence never reads the output layer, so the per-step outputs
+        o = [s, ctx, emb] are stacked and go through `_output` once, one row
+        of log-probs per step with the bits `step` gives it. The cache holds
+        what `loss_and_grads` backpropagates.
+        """
+        src_ids = list(src_ids)
+        out_ids = list(tgt_ids) + [EOS]
+        p = self.params
+        h_size = self.config.hidden_size
+        enc, enc_caches = self._encode(src_ids)
+        att_enc = enc @ p["att_u"]
+        s = s0 = self.initial_state(enc)
+
+        y_prevs = [BOS] + out_ids[:-1]
+        outs = np.empty((len(out_ids), 3 * h_size + self.config.embed_size))
+        outs[:, 3 * h_size:] = p["tgt_emb"][y_prevs]
+        step_caches = []
+        for t in range(len(outs)):
+            emb = outs[t, 3 * h_size:]
+            _, ctx, att_cache = self._attention_forward(s, enc, att_enc)
+            s, gru_cache = self._dec.forward(np.concatenate([emb, ctx]), s)
+            outs[t, :h_size] = s
+            outs[t, h_size:3 * h_size] = ctx
+            step_caches.append((att_cache, gru_cache))
+        logp = self._output(outs)
+        return out_ids, logp, (src_ids, enc, enc_caches, s0, y_prevs, outs, step_caches)
+
+    def nll(self, src_ids, tgt_ids) -> tuple[float, int]:
+        """Teacher-forced NLL sum of tgt_ids + <eos> and its number of scored steps.
+
+        Target steps on <unk> are fed to the decoder but not scored, as in
+        `loss_and_grads`.
+        """
+        out_ids, logp, _ = self._forward(src_ids, tgt_ids)
+        return _nll(logp, out_ids)
 
     def sequence_logprob(self, src: str, tgt: str, terminated: bool = True) -> float:
         """log p(tgt | src), teacher forced.
@@ -405,73 +450,32 @@ class Seq2SeqModel:
         """
         if not src:
             raise DegenerateInputError("cannot score an empty source string")
-        src_ids = self.src_vocab.encode(src)
-        out_ids = self.tgt_vocab.encode(tgt)
-        if terminated:
-            out_ids = out_ids + [EOS]
-        enc = self.encode(src_ids)
-        att_enc = enc @ self.params["att_u"]
-        s = self.initial_state(enc)
-        total = 0.0
-        y_prev = BOS
-        for y in out_ids:
-            logp, s = self.step(s, y_prev, enc, att_enc)
-            total += logp[y]
-            y_prev = y
-        return float(total)
-
-    # -- training loss and gradients ----------------------------------------
+        out_ids, logp, _ = self._forward(self.src_vocab.encode(src), self.tgt_vocab.encode(tgt))
+        n = len(out_ids) if terminated else len(out_ids) - 1  # without the <eos> step
+        return _sum(logp[np.arange(n), out_ids[:n]])
 
     def loss_and_grads(self, src_ids, tgt_ids):
         """Teacher-forced NLL of tgt_ids + <eos> given src_ids.
 
-        Returns (nll_sum, n_steps, grads) where grads is a FlatParams holding
-        d nll_sum / d θ for every parameter. Target steps on <unk> are fed
-        to the decoder but not scored, as in `train.loss_on`: they add no
-        loss, no output gradient and no step to n_steps. Callers divide by
-        whatever step count defines their batch mean.
+        Returns (nll_sum, n_steps, grads): `nll`'s two numbers, and a
+        FlatParams holding d nll_sum / d θ for every parameter. Target steps
+        on <unk> add no loss, no output gradient and no step to n_steps.
+        Callers divide by whatever step count defines their batch mean.
         """
-        src_ids = list(src_ids)
-        out_ids = list(tgt_ids) + [EOS]
+        out_ids, logp, cache = self._forward(src_ids, tgt_ids)
+        src_ids, enc, enc_caches, s0, y_prevs, outs, step_caches = cache
+        nll, n_scored = _nll(logp, out_ids)
         p = self.params
         g = self.zero_grads()
         h_size = self.config.hidden_size
         e_size = self.config.embed_size
-        out_w = p["out_w"]
         gru_e = self._enc.with_grads(g.vector[self._enc_block])
         gru_d = self._dec.with_grads(g.vector[self._dec_block])
 
-        enc, enc_caches = self._encode(src_ids, gru_e)
-        att_enc = enc @ p["att_u"]
-        s = s0 = self.initial_state(enc)
-
-        # teacher forcing: the recurrence never reads the output layer, so
-        # the per-step outputs o = [s, ctx, emb] are stacked and projected
-        # after the loop, one row per step
         n_out = len(out_ids)
-        y_prevs = [BOS] + out_ids[:-1]
-        outs = np.empty((n_out, 3 * h_size + e_size))
-        outs[:, 3 * h_size:] = p["tgt_emb"][y_prevs]
-        step_caches = []
-        for t in range(n_out):
-            emb = outs[t, 3 * h_size:]
-            _, ctx, att_cache = self._attention_forward(s, enc, att_enc)
-            s, gru_cache = gru_d.forward(np.concatenate([emb, ctx]), s)
-            outs[t, :h_size] = s
-            outs[t, h_size:3 * h_size] = ctx
-            step_caches.append((att_cache, gru_cache))
-
-        logits = (outs[:, None, :] @ out_w)[:, 0] + p["out_b"]
-        logits[:, _MASKED_IDS] = -np.inf
-        logp = _log_softmax(logits)
-        rows = np.arange(n_out)
-        scored = [y != UNK for y in out_ids]
-        nll = 0.0
-        for v in (-logp[rows, out_ids])[scored].tolist():
-            nll += v
         d_logits = np.exp(logp)  # softmax probabilities; masked ids hold 0
-        d_logits[rows, out_ids] -= 1.0
-        d_logits[np.logical_not(scored)] = 0.0
+        d_logits[np.arange(n_out), out_ids] -= 1.0
+        d_logits[np.equal(out_ids, UNK)] = 0.0
         # each step's outer product o ⊗ d_logits, summed onto the zero
         # gradient in the backward loop's order, last step first; computed
         # transposed, which makes fewer and longer rows
@@ -481,7 +485,7 @@ class Seq2SeqModel:
         g["out_w"][...] = np.add.reduce(prods, axis=0).T
         g["out_b"][...] = np.add.reduce(np.concatenate(
             [g["out_b"][None], d_logits[::-1]]), axis=0)
-        d_outs = (d_logits[:, None, :] @ out_w.T)[:, 0]
+        d_outs = (d_logits[:, None, :] @ p["out_w"].T)[:, 0]
 
         m = len(src_ids)
         d_enc = np.zeros((m, 2 * h_size))
@@ -510,4 +514,19 @@ class Seq2SeqModel:
         g["att_u"] += enc.T @ d_att_enc
 
         self._encoder_backward(src_ids, gru_e, enc_caches, d_enc, g)
-        return float(nll), sum(scored), g
+        return nll, n_scored, g
+
+
+def _sum(values: np.ndarray) -> float:
+    """Left to right, as a per-step loop adds; the builtin sum may compensate."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
+
+
+def _nll(logp: np.ndarray, out_ids: list[int]) -> tuple[float, int]:
+    """NLL sum over the steps whose target is not <unk>, and their count."""
+    scored = np.not_equal(out_ids, UNK)
+    picked = logp[np.arange(len(out_ids)), out_ids]
+    return _sum(-picked[scored]), int(np.count_nonzero(scored))

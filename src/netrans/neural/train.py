@@ -9,7 +9,7 @@ import numpy as np
 from ..core import NePair
 from ..errors import ConfigError, DivergenceError
 from .model import FlatParams, ModelConfig, Seq2SeqModel
-from .vocab import BOS, EOS, UNK, CharVocab
+from .vocab import CharVocab
 
 S2T = "s2t"
 T2S = "t2s"
@@ -85,31 +85,12 @@ class AdaDelta:
         self.model.params.vector += tmp
 
 
-def _pair_nll(model: Seq2SeqModel, src_ids: list[int], out_ids: list[int]) -> tuple[float, int]:
-    """Forward-only NLL sum and counted steps; unknown target chars are skipped."""
-    enc = model.encode(src_ids)
-    att_enc = enc @ model.params["att_u"]
-    s = model.initial_state(enc)
-    y_prev = BOS
-    nll = 0.0
-    steps = 0
-    for y in out_ids:
-        logp, s = model.step(s, y_prev, enc, att_enc)
-        if y != UNK:
-            nll -= logp[y]
-            steps += 1
-        y_prev = y
-    return nll, steps
-
-
 def loss_on(model: Seq2SeqModel, texts: Sequence[tuple[str, str]]) -> float:
     """Mean per-character cross-entropy (terminal <eos> steps included)."""
     total = 0.0
     steps = 0
     for inp, out in texts:
-        src_ids = model.src_vocab.encode(inp)
-        out_ids = model.tgt_vocab.encode(out) + [EOS]
-        nll, n = _pair_nll(model, src_ids, out_ids)
+        nll, n = model.nll(model.src_vocab.encode(inp), model.tgt_vocab.encode(out))
         total += nll
         steps += n
     if steps == 0:
@@ -134,7 +115,7 @@ def train(pairs: Sequence[NePair], direction: str, config: ModelConfig,
     model = make_model(pairs, direction, config)
     texts = oriented(pairs, direction)
     dev_texts = oriented(dev_pairs, direction) if dev_pairs else None
-    encoded = [(model.src_vocab.encode(inp), model.tgt_vocab.encode(out) + [EOS])
+    encoded = [(model.src_vocab.encode(inp), model.tgt_vocab.encode(out))
                for inp, out in texts]
 
     opt = AdaDelta(model)
@@ -149,8 +130,7 @@ def train(pairs: Sequence[NePair], direction: str, config: ModelConfig,
         nll_total = 0.0
         step_total = 0
         for idx in order:
-            src_ids, out_ids = encoded[idx]
-            nll, steps, grads = model.loss_and_grads(src_ids, out_ids[:-1])
+            nll, steps, grads = model.loss_and_grads(*encoded[idx])
             if not np.isfinite(nll):
                 raise DivergenceError(f"non-finite training loss in epoch {epoch}")
             opt.update(grads, 1.0 / steps)
@@ -203,7 +183,7 @@ def gradient_check(model: Seq2SeqModel, texts: Sequence[tuple[str, str]],
     def batch_loss() -> float:
         acc = 0.0
         for src_ids, tgt_ids in encoded:
-            nll, _ = _pair_nll(model, src_ids, tgt_ids + [EOS])
+            nll, _ = model.nll(src_ids, tgt_ids)
             acc += nll
         return acc / steps_sum
 

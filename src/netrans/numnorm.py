@@ -56,6 +56,12 @@ class RuleTable:
     from a first character to the patterns starting with it, in
     ``patterns_for`` order, and caches it on the table, so each position of
     a string tries only the patterns that can match there.
+
+    Skeletons are idempotent (normalizing one again returns it unchanged)
+    under a table in which each digit 1-9 is a pattern rewriting to itself
+    for the language, and no other pattern consists of digits alone. The
+    packaged table meets this; a user table that does not, e.g. one without
+    the digit rules or with a "12" -> "5" rule, can change a skeleton again.
     """
 
     rules: dict[str, tuple[tuple[str, str], ...]]

@@ -63,6 +63,12 @@ class _SymbolCounter:
         return symbol
 
 
+def _check_within(start: int, end: int, length: int, what: str, sid: int) -> None:
+    if not 0 <= start < end <= length:
+        raise ContractError(
+            f"sentence {sid}: {what} range [{start}, {end}) is empty or exceeds length {length}")
+
+
 def _check_disjoint(ranges: list[tuple[int, int]], what: str, sid: int) -> None:
     for (a_start, a_end), (b_start, b_end) in zip(ranges, ranges[1:]):
         if b_start < a_end:
@@ -99,6 +105,8 @@ def replace_training_pair(pair: SentencePair, aligned: Sequence[AlignedPair],
         if a.sentence_id != pair.id:
             raise ContractError(
                 f"alignment for sentence {a.sentence_id} handed to sentence {pair.id}")
+        _check_within(a.src_start, a.src_end, len(pair.src), "source", pair.id)
+        _check_within(a.tgt_start, a.tgt_end, len(pair.tgt), "target", pair.id)
     ordered = sorted(aligned, key=lambda a: a.src_start)
     _check_disjoint([(a.src_start, a.src_end) for a in ordered], "source", pair.id)
     _check_disjoint(sorted((a.tgt_start, a.tgt_end) for a in ordered), "target", pair.id)
@@ -139,10 +147,7 @@ def replace_test_sentence(sentence: Sentence, spans: Sequence[NeSpan],
     entries = []
     placed = []
     for span in ordered:
-        if span.end > len(sentence):
-            raise ContractError(
-                f"sentence {sentence_id}: span [{span.start}, {span.end}) "
-                f"exceeds length {len(sentence)}")
+        _check_within(span.start, span.end, len(sentence), "span", sentence_id)
         tokens = sentence.tokens[span.start:span.end]
         if oov_only and vocab is not None and all(tok in vocab for tok in tokens):
             continue

@@ -444,7 +444,7 @@ def test_direction_restriction_skips_the_other_recognizer():
 
 
 class TwoSentenceRecognizer:
-    """Annotation-free recognizer for the corpus tests; picklable."""
+    """Annotation-free recognizer for the corpus tests: tags 波林 and bolin as PER."""
 
     def recognize(self, sentence, sentence_id, side):
         spans = []
@@ -596,8 +596,8 @@ def test_recognition_runs_in_process_and_needs_no_pickling():
 
 
 def test_gazetteer_aligns_the_same_across_job_counts():
-    # workers receive the gazetteer, and its first-token index, pickled
-    # (or forked); both ways must align alike
+    # a gazetteer aligns alike at every job count, and a pickled copy, its
+    # first-token index included, aligns as the original does
     synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.0)
     annotated = AnnotationRecognizer(synthetic.annotations)
     entries = {}
@@ -670,6 +670,22 @@ def test_alignment_file_rejects_bad_rows(tmp_path):
     path.write_text("0\t0\t1\t0\t2\tLOC\t0.9\tsideways\n", encoding="utf-8")
     with pytest.raises(ParseError, match="direction"):
         read_alignments(path)
+
+
+@pytest.mark.parametrize("row, side", [
+    ("0\t2\t1\t0\t1", "source"),   # reversed
+    ("0\t1\t1\t0\t1", "source"),   # empty
+    ("0\t-1\t1\t0\t1", "source"),  # negative
+    ("0\t0\t1\t3\t2", "target"),
+    ("0\t0\t1\t-2\t1", "target"),
+])
+def test_alignment_file_rejects_empty_or_negative_ranges(tmp_path, row, side):
+    path = tmp_path / "a.tsv"
+    path.write_text(f"0\t0\t1\t0\t1\tLOC\t0.9\tboth\n{row}\tLOC\t0.9\tboth\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError, match=side) as exc:
+        read_alignments(path)
+    assert f"{path}:2" in str(exc.value)
 
 
 # -- one link per token ---------------------------------------------------------

@@ -413,6 +413,21 @@ def test_restore_sends_only_the_model_decode_to_workers(capsys, work, tiny_model
         assert results[0] == results[1]
 
 
+def test_replace_rejects_an_alignment_row_outside_its_sentence(capsys, work, nt_corpus):
+    zh, en, _ = nt_corpus
+    rows = work / "out_of_range.tsv"
+    rows.write_text("1\t2\t3\t2\t3\tNT\t1.0\tboth\n0\t5\t7\t5\t7\tNT\t1.0\tboth\n",
+                    encoding="utf-8")
+    rc, out, err = run(capsys, "replace", "--alignments", str(rows),
+                       "--src", str(zh), "--tgt", str(en),
+                       "--src-lang", "zh", "--tgt-lang", "en",
+                       "--out-src", str(work / "bad.zh"), "--out-tgt", str(work / "bad.en"),
+                       "--out-symmap", str(work / "bad_symbols.tsv"))
+    assert rc == 2
+    assert out == ""
+    assert "sentence 0: source range [5, 7) is empty or exceeds length 6" in err
+
+
 def test_replace_modes_are_mutually_exclusive(capsys, work, nt_corpus, aligned_nt):
     zh, _, ann = nt_corpus
     alignments, _ = aligned_nt

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from netrans.align import ModelTranslator
 from netrans.core import NePair, NeType
 from netrans.errors import (
     ChecksumError,
@@ -10,7 +11,17 @@ from netrans.errors import (
     TruncatedModelError,
     VersionError,
 )
-from netrans.neural import ModelConfig, S2T, Seq2SeqModel, load_model, make_model, save_model
+from netrans.neural import (
+    ModelConfig,
+    S2T,
+    Seq2SeqModel,
+    beam,
+    io,
+    load_model,
+    make_model,
+    save_model,
+    train,
+)
 from trainer_oracle import oracle_model_bytes
 
 MAGIC_LEN = 8
@@ -125,3 +136,23 @@ def test_mangled_header_json(saved):
     path.write_bytes(bytes(blob))
     with pytest.raises(ModelIOError):
         load_model(str(path))
+
+
+def test_model_translator_reloads_a_model_saved_over_its_path(tmp_path, monkeypatch):
+    loads = []
+    monkeypatch.setattr(io, "load_model", lambda path: loads.append(path) or load_model(path))
+    pairs = [NePair("巴林", "balin", NeType.LOC), NePair("安娜", "anna", NeType.PER)]
+    config = ModelConfig(hidden_size=8, embed_size=6, learning_rate=1.0, seed=2)
+    path = str(tmp_path / "model.bin")
+    save_model(train(pairs, S2T, config, max_epochs=1), path)
+    first = ModelTranslator(path, 3)("巴林")
+    assert ModelTranslator(path, 3)("巴林") == first
+    assert len(loads) == 1  # an unchanged file loads once
+
+    # the same config gives a file of the same size
+    save_model(train(pairs, S2T, config, max_epochs=30), path)
+    fresh = beam.translate(load_model(path), "巴林", 3)
+    assert fresh != first
+    assert ModelTranslator(path, 3)("巴林") == fresh
+    assert ModelTranslator(path, 3)("安娜") == beam.translate(load_model(path), "安娜", 3)
+    assert len(loads) == 2

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netrans.core import NePair, NeType
 from netrans.errors import ConfigError, DivergenceError
 from netrans.neural import (
     AdaDelta,
+    BOS,
     EOS,
     ModelConfig,
     S2T,
@@ -17,7 +20,7 @@ from netrans.neural import (
     oriented,
     train,
 )
-from netrans.neural.train import _pair_nll
+from trainer_oracle import OracleModel
 
 PAIRS = [
     NePair("巴林", "balin", NeType.LOC),
@@ -30,6 +33,32 @@ def small_config(**kwargs):
     defaults = dict(hidden_size=10, embed_size=6, seed=1)
     defaults.update(kwargs)
     return ModelConfig(**defaults)
+
+
+def oracle_step_logprobs(model, src_ids, tgt_ids):
+    """log p of each of tgt_ids + <eos>, stepping the reference model one character at a time."""
+    oracle = OracleModel(model)
+    enc = oracle.encode(src_ids)
+    att_enc = enc @ oracle.params["att_u"]
+    s = oracle.initial_state(enc)
+    y_prev = BOS
+    out = []
+    for y in list(tgt_ids) + [EOS]:
+        logp, s = oracle.step(s, y_prev, enc, att_enc)
+        out.append(logp[y])
+        y_prev = y
+    return out
+
+
+def oracle_nll(model, src_ids, tgt_ids):
+    """NLL sum and scored steps of tgt_ids + <eos>, skipping <unk> targets."""
+    nll = 0.0
+    steps = 0
+    for y, logp in zip(list(tgt_ids) + [EOS], oracle_step_logprobs(model, src_ids, tgt_ids)):
+        if y != UNK:
+            nll -= logp
+            steps += 1
+    return nll, steps
 
 
 def test_oriented_swaps_pairs_for_the_reverse_direction():
@@ -113,7 +142,7 @@ def test_unknown_target_chars_are_skipped_like_the_dev_loss():
     assert UNK in tgt_ids
     nll, steps, _ = model.loss_and_grads(src_ids, tgt_ids)
     assert np.isfinite(nll)
-    assert (nll, steps) == _pair_nll(model, src_ids, tgt_ids + [EOS])
+    assert (nll, steps) == model.nll(src_ids, tgt_ids) == oracle_nll(model, src_ids, tgt_ids)
     assert steps == len("baQin")  # <eos> scored, the unknown step not
     report = gradient_check(model, [("巴林", "baQin"), ("克安", "kean")], eps=1e-4)
     worst = max(report.values())
@@ -191,3 +220,26 @@ def test_divergence_is_reported_with_the_epoch(monkeypatch):
     monkeypatch.setattr(Seq2SeqModel, "loss_and_grads", explode)
     with pytest.raises(DivergenceError, match="epoch 1"):
         train(PAIRS, S2T, small_config(), max_epochs=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 8), st.integers(0, 2**16),
+       st.sampled_from([1.0, 3.0, 10.0]),
+       st.text("巴林安娜", min_size=1, max_size=6),
+       st.text("balinQ", max_size=7))  # Q is outside the target vocab
+def test_scores_match_a_step_loop_over_the_reference_exactly(hidden, embed, seed, scale,
+                                                             src, tgt):
+    model = make_model(PAIRS, S2T, small_config(hidden_size=hidden, embed_size=embed,
+                                                seed=seed))
+    model.params.vector[...] *= scale
+    src_ids, tgt_ids = model.src_vocab.encode(src), model.tgt_vocab.encode(tgt)
+    step_logprobs = oracle_step_logprobs(model, src_ids, tgt_ids)
+    for terminated in (True, False):
+        expected = 0.0
+        for logp in step_logprobs[:len(tgt) + terminated]:
+            expected += logp
+        assert model.sequence_logprob(src, tgt, terminated) == expected
+    nll, steps = oracle_nll(model, src_ids, tgt_ids)
+    assert model.nll(src_ids, tgt_ids) == (nll, steps)
+    assert model.loss_and_grads(src_ids, tgt_ids)[:2] == (nll, steps)
+    assert loss_on(model, [(src, tgt)]) == nll / steps

@@ -191,3 +191,36 @@ def test_rule_index_matches_the_scan_on_user_tables(rows, texts, lang):
     table = RuleTable.from_rows(rows)
     for text in texts:
         assert normalize_numeric(text, lang, table) == scan_normalize(text, lang, table)
+
+
+# the extra rules' patterns hold a non-digit, and may start with a digit
+EXTRA_RULE = st.tuples(st.text("ab1一十月%", min_size=1, max_size=4).filter(
+                           lambda p: not all(c in "0123456789" for c in p)),
+                       st.text("0123456789a", max_size=3),
+                       st.sampled_from(["zh", "en", "*"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), min_size=9, max_size=9),
+       st.lists(EXTRA_RULE, max_size=10),
+       st.lists(st.text("ab1一十月% 29", max_size=20), min_size=1, max_size=5),
+       LANG)
+def test_skeletons_are_idempotent_under_user_tables_that_keep_the_digits(
+        universal, extra, texts, lang):
+    # each of 1-9 rewrites to itself in `lang`, for that language or for
+    # all, and no other pattern is all digits
+    digits = [(d, d, "*" if u else lang) for d, u in zip(DIGITS, universal)]
+    table = RuleTable.from_rows(digits + extra)
+    for text in texts:
+        once = normalize_numeric(text, lang, table)
+        assert normalize_numeric(once, lang, table) == once
+
+
+def test_skeletons_need_not_be_idempotent_under_other_user_tables():
+    no_digit_rules = RuleTable.from_rows([("一", "1", "zh")])
+    assert normalize_numeric("一", "zh", no_digit_rules) == "1"
+    assert normalize_numeric("1", "zh", no_digit_rules) == ""
+    two_digit_rule = RuleTable.from_rows(
+        [(d, d, "*") for d in DIGITS] + [("一", "1", "zh"), ("二", "2", "zh"), ("12", "5", "zh")])
+    assert normalize_numeric("一二", "zh", two_digit_rule) == "12"
+    assert normalize_numeric("12", "zh", two_digit_rule) == "5"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netrans import pipeline
 from netrans.align import AlignedPair
 from netrans.core import NePair, NeSpan, NeType, Sentence, SentencePair
 from netrans.errors import ContractError, ParseError
@@ -95,6 +96,24 @@ def test_replace_training_pair_contract_errors(embassy_pair):
         replace_training_pair(embassy_pair, [loc(7, 0, 2, 0, 1), loc(7, 1, 3, 2, 3)])
     with pytest.raises(ContractError, match="target"):
         replace_training_pair(embassy_pair, [loc(7, 0, 1, 0, 2), loc(7, 2, 3, 1, 3)])
+
+
+@pytest.mark.parametrize("row, side", [
+    (loc(7, 2, 1, 0, 1), "source"),  # reversed: rewriting it would never end
+    (loc(7, 1, 1, 0, 1), "source"),
+    (loc(7, -1, 1, 0, 1), "source"),
+    (loc(7, 5, 7, 0, 1), "source"),  # the source has 6 tokens
+    (loc(7, 0, 1, 2, 1), "target"),
+    (loc(7, 0, 1, 5, 6), "target"),  # the target has 5
+])
+def test_replace_training_pair_rejects_ranges_outside_the_sentence(embassy_pair, monkeypatch,
+                                                                   row, side):
+    def unreachable(*_):
+        raise AssertionError("a malformed range reached the rewrite")
+
+    monkeypatch.setattr(pipeline, "_rewrite", unreachable)
+    with pytest.raises(ContractError, match=f"sentence 7: {side} range"):
+        replace_training_pair(embassy_pair, [loc(7, 3, 4, 3, 4), row])
 
 
 # -- escaping -----------------------------------------------------------------
