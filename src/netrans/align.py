@@ -13,12 +13,15 @@ bit vector (the multi-pattern packing of Hyyrö, Fredriksson and Navarro
 2005), and every (n-gram, candidate) score is read off that vector when
 the pass reaches the n-gram's end.
 
-Names and numbers repeat across a corpus, so `align_corpus` recognizes
-every sentence, decodes each distinct surface of each direction once
-(`decode_once`, also used by `netrans restore`), normalizes each distinct
-`(text, lang)` the NT matching needs to its digit skeleton once, then
-matches the sentences. This is exact, for any job count: translators and
-`normalize_numeric` are deterministic, so one result serves every
+Names, numbers and words repeat across a corpus, so `align_corpus`
+recognizes every sentence, decodes each distinct surface of each direction
+once (`decode_once`, also used by `netrans restore`), normalizes each
+distinct `(text, lang)` the NT matching needs to its digit skeleton once,
+then matches the sentences. While matching it packs the candidates of each
+distinct `(direction, surface)` once, folds each distinct token once and
+scores each distinct pair of digit skeletons once (`_Plan`), so the
+per-sentence loop only scans. This is exact, for any job count: each of
+these is a deterministic function of its input, so one result serves every
 occurrence, and `pmap` returns results in input order.
 """
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import numnorm, simdist
 from .core import NePair, NeSpan, NeType, SentencePair, _read_lines
@@ -80,10 +83,55 @@ class AlignedPair:
     direction: str
 
 
+class CandidatePack(NamedTuple):
+    """A span's candidates side by side in one bit vector (see `match_span`)."""
+
+    # (rank, segment mask, length, most unmatched characters at the
+    # threshold) of each candidate that fits
+    segments: tuple[tuple[int, int, int, int], ...]
+    masks: dict[str, int]  # character -> its match bits in every segment
+    full: int  # every segment's bits
+    space: int  # masks[" "], or 0
+    overlong: int  # candidates over `simdist.MAX_CHARS` folded characters
+
+
+def pack_candidates(candidates: Sequence[tuple[str, float]], threshold: float) -> CandidatePack:
+    """Fold the non-empty candidates and pack each that fits `simdist.MAX_CHARS`
+    into its own segment, in rank order, with a zero guard bit above it, for
+    scoring at `threshold`."""
+    segments = []
+    masks: dict[str, int] = {}
+    offset = 0
+    overlong = 0
+    for rank, cand in enumerate(simdist.fold(c) for c, _ in candidates if c):
+        m = len(cand)
+        if m > simdist.MAX_CHARS:
+            overlong += 1
+            continue
+        for i, ch in enumerate(cand, offset):  # `simdist.char_masks`, shifted to the segment
+            masks[ch] = masks.get(ch, 0) | (1 << i)
+        segments.append((rank, ((1 << m) - 1) << offset, m, _most_unmatched(m, threshold)))
+        offset += m + 1  # the guard bit stays clear
+    return CandidatePack(tuple(segments), masks, sum(seg for _, seg, _, _ in segments),
+                         masks.get(" ", 0), overlong)
+
+
+def _most_unmatched(m: int, threshold: float) -> int:
+    """The most of a candidate's m characters an n-gram may leave unmatched
+    and still score `(m - unmatched) / m >= threshold`, by that very test."""
+    unmatched = min(m, int(m * (1 - threshold)) + 2)  # at or above the answer
+    while (m - unmatched) / m < threshold:  # true at unmatched 0, as threshold <= 1
+        unmatched -= 1
+    return unmatched
+
+
 def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
                other_tokens: Sequence[str], cfg: AlignConfig, *,
                ne_lang: str, other_lang: str,
-               skeleton: Skeleton | None = None) -> tuple[int, int, float] | None:
+               skeleton: Skeleton | None = None, pack: CandidatePack | None = None,
+               fold: Callable[[str], str] | None = None,
+               nt_score: Callable[[str, str], float] | None = None,
+               ) -> tuple[int, int, float] | None:
     """Best-scoring token range for one entity, or None below threshold.
 
     Ties prefer the shorter range, then the leftmost, then the higher-ranked
@@ -93,20 +141,26 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     PER/LOC ranges are scored in one bit-parallel LCS pass per start token
     that serves every candidate at once: each candidate that fits
     `MAX_CHARS` owns a segment of one bit vector, with a zero guard bit
-    above it. `v - u` never borrows, because `u` is a subset of `v`, and
-    the carry out of a segment's top bit lands in its guard bit, which
-    `& full` clears, so each segment evolves exactly as that candidate's
-    own vector would. The bit vector after a prefix of the text already
-    holds the LCS against that prefix, so the pass over a start's
-    `max_ngram` tokens and their joining spaces reads every n-gram's score,
-    per candidate, at its end. The scores are the integer ratios
-    `simdist.similarity` gives, because folding commutes with joining
-    tokens by spaces, so the result is the same as comparing each range
-    with each candidate on its own.
+    above it (`pack_candidates`). `v - u` never borrows, because `u` is a
+    subset of `v`, and the carry out of a segment's top bit lands in its
+    guard bit, which `& full` clears, so each segment evolves exactly as
+    that candidate's own vector would. The bit vector after a prefix of the
+    text already holds the LCS against that prefix, so the pass over a
+    start's `max_ngram` tokens and their joining spaces reads every
+    n-gram's score, per candidate, at its end. The scores are the integer
+    ratios `simdist.similarity` gives, because folding commutes with
+    joining tokens by spaces, so the result is the same as comparing each
+    range with each candidate on its own.
 
-    NT ranges match on digit skeletons: `skeleton(text, lang)` gives them,
-    by default `numnorm.normalize_numeric`; `align_corpus` passes a lookup
-    into the skeletons it computed once for the whole run.
+    NT ranges match on digit skeletons, by default
+    `numnorm.normalize_numeric` and `numnorm.skeleton_similarity`.
+
+    The keywords let `align_corpus` hand in what it computes once per run
+    in place of the per-call work: `skeleton(text, lang)`, the `pack`
+    `pack_candidates(candidates, cfg.sim_threshold)` gives (`candidates`
+    are then not read), `fold(token)` and `nt_score(wanted, skeleton)`.
+    Each must give what the per-call path computes, which then holds for
+    the result too.
     """
     n = len(other_tokens)
     threshold = cfg.sim_threshold
@@ -114,6 +168,7 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     too_long = 0
     if ne.ne_type is NeType.NT:
         skeleton = skeleton or numnorm.normalize_numeric
+        nt_score = nt_score or numnorm.skeleton_similarity
         wanted = skeleton(ne.surface, ne_lang)
         if not wanted:
             return None  # every range would score 0.0, below any threshold
@@ -121,33 +176,21 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
             for end in range(start + 1, min(start + cfg.max_ngram, n) + 1):
                 text = " ".join(other_tokens[start:end])
                 try:
-                    score = numnorm.skeleton_similarity(wanted, skeleton(text, other_lang))
+                    score = nt_score(wanted, skeleton(text, other_lang))
                 except LengthLimitError:
                     too_long += 1
                     continue
                 if score >= threshold:
                     hits.append((-score, end - start, start, 0))
     else:
-        scored = [simdist.fold(c) for c, _ in candidates if c]
-        if not scored:
+        segments, masks, full, space, overlong = pack or pack_candidates(candidates, threshold)
+        if not segments and not overlong:
             raise ConfigError(
                 f"no translation candidates for {ne.ne_type.value} span {ne.surface!r}")
-        folded = [simdist.fold(t) for t in other_tokens]
+        folded = list(map(fold or simdist.fold, other_tokens))
         stops = [min(start + cfg.max_ngram, n) for start in range(n)]
-        packed = []  # (rank, segment mask, length) of each candidate that fits
-        masks: dict[str, int] = {}
-        offset = 0
-        for rank, cand in enumerate(scored):
-            m = len(cand)
-            if m > simdist.MAX_CHARS:
-                too_long += sum(stop - start for start, stop in enumerate(stops))
-                continue
-            for ch, x in simdist.char_masks(cand).items():
-                masks[ch] = masks.get(ch, 0) | (x << offset)
-            packed.append((rank, ((1 << m) - 1) << offset, m))
-            offset += m + 1  # the guard bit stays clear
-        full = sum(seg for _, seg, _ in packed)
-        space = masks.get(" ", 0)
+        if overlong:
+            too_long += overlong * sum(stop - start for start, stop in enumerate(stops))
         # a character no candidate has leaves the bit vector as it is
         token_masks = [[x for x in map(masks.get, tok) if x] for tok in folded]
         for start, stop in enumerate(stops):
@@ -156,7 +199,7 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
             for end in range(start + 1, stop + 1):
                 length += len(folded[end - 1]) + 1
                 if length > simdist.MAX_CHARS:
-                    too_long += (stop - end + 1) * len(packed)  # the fragment only grows
+                    too_long += (stop - end + 1) * len(segments)  # the fragment only grows
                     break
                 if end > start + 1 and space:
                     u = v & space
@@ -164,10 +207,10 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
                 for x in token_masks[end - 1]:
                     u = v & x
                     v = ((v + u) | (v - u)) & full
-                for rank, seg, m in packed:
-                    score = (m - (v & seg).bit_count()) / m
-                    if score >= threshold:
-                        hits.append((-score, end - start, start, rank))
+                for rank, seg, m, most in segments:
+                    unmatched = (v & seg).bit_count()
+                    if unmatched <= most:
+                        hits.append((-(m - unmatched) / m, end - start, start, rank))
     if too_long:
         log.warning("sentence %d: %d comparison(s) for %s span %r exceed %d chars, "
                     "treated as no match", ne.sentence_id, too_long, ne.ne_type.value,
@@ -197,14 +240,15 @@ def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
                         tgt_spans: Sequence[NeSpan], cfg: AlignConfig,
                         s2t: Translator | None = None,
                         t2s: Translator | None = None, *,
-                        skeleton: Skeleton | None = None) -> list[AlignedPair]:
+                        plan: _Plan | None = None) -> list[AlignedPair]:
     """Union of both matching directions for one sentence pair.
 
     Matches whose source and target ranges both overlap collapse into a
     single direction="both" pair keeping each direction's recognized span
     and the higher score. Remaining conflicts are resolved score-first
-    (then s2t before t2s), one link per token on either side. `skeleton`
-    goes to `match_span` for the NT spans.
+    (then s2t before t2s), one link per token on either side. Each span is
+    matched against the first `cfg.beam_width` of its candidates. `plan`,
+    which `align_corpus` passes, hands `match_span` the run's lookups.
     """
     src_spans = _spans_for(pair, src_spans, "source")
     tgt_spans = _spans_for(pair, tgt_spans, "target")
@@ -212,9 +256,10 @@ def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
     fwd: list[AlignedPair] = []
     if cfg.directions in (BOTH, S2T):
         for ne in src_spans:
-            cands = _candidates(ne, s2t, S2T)
+            cands = _candidates(ne, s2t, S2T, cfg.beam_width)
             hit = match_span(ne, cands, pair.tgt.tokens, cfg, ne_lang=pair.src.lang,
-                             other_lang=pair.tgt.lang, skeleton=skeleton)
+                             other_lang=pair.tgt.lang,
+                             **(plan.lookups(S2T, ne, cands) if plan else {}))
             if hit:
                 start, end, score = hit
                 fwd.append(AlignedPair(pair.id, ne.start, ne.end, start, end,
@@ -223,9 +268,10 @@ def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
     rev: list[AlignedPair] = []
     if cfg.directions in (BOTH, T2S):
         for ne in tgt_spans:
-            cands = _candidates(ne, t2s, T2S)
+            cands = _candidates(ne, t2s, T2S, cfg.beam_width)
             hit = match_span(ne, cands, pair.src.tokens, cfg, ne_lang=pair.tgt.lang,
-                             other_lang=pair.src.lang, skeleton=skeleton)
+                             other_lang=pair.src.lang,
+                             **(plan.lookups(T2S, ne, cands) if plan else {}))
             if hit:
                 start, end, score = hit
                 rev.append(AlignedPair(pair.id, start, end, ne.start, ne.end,
@@ -251,13 +297,14 @@ def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
     return accepted
 
 
-def _candidates(ne: NeSpan, translator: Translator | None, direction: str):
+def _candidates(ne: NeSpan, translator: Translator | None, direction: str,
+                beam_width: int) -> Sequence[tuple[str, float]]:
     if ne.ne_type is NeType.NT:
         return []
     if translator is None:
         raise ConfigError(
             f"{ne.ne_type.value} span {ne.surface!r} needs a {direction} translator")
-    return translator(ne.surface)
+    return translator(ne.surface)[:beam_width]
 
 
 def _merge_directions(fwd: list[AlignedPair], rev: list[AlignedPair]) -> list[AlignedPair]:
@@ -303,8 +350,57 @@ def decode_once(translator: Translator, surfaces: Sequence[str], jobs: int) -> T
     return dict(zip(surfaces, pmap(translator, surfaces, jobs))).__getitem__
 
 
-def _skeleton_of(skeletons: dict[tuple[str, str], str], text: str, lang: str) -> str:
-    return skeletons[text, lang]
+def _lookup(table, *key):
+    return table[key]
+
+
+class _Memo(dict):
+    """`func(key)` for each key looked up, computed at its first lookup; an
+    exception `func` raises is not stored, so the next lookup raises again."""
+
+    def __init__(self, func):
+        super().__init__()
+        self.func = func
+
+    def __missing__(self, key):
+        value = self[key] = self.func(key)
+        return value
+
+
+def _skeleton_score(key: tuple[str, str]) -> float:
+    return numnorm.skeleton_similarity(*key)
+
+
+class _Plan:
+    """The lookups one `align_corpus` run hands `match_span`, each a
+    deterministic function of its key, computed once per distinct key.
+
+    `skeleton` is `_nt_skeletons`' lookup. The candidate pack of each
+    `(direction, surface)`, the fold of each token and the score of each
+    `(wanted, n-gram)` skeleton pair are memos filled at first use, in the
+    process that matches, so an empty candidate list still raises at its
+    first span in corpus order and an over-long skeleton comparison raises,
+    and is warned about, at every span that makes it. They go when the run
+    drops its match function.
+    """
+
+    def __init__(self, skeleton: Skeleton | None, threshold: float):
+        self.skeleton = skeleton
+        self.threshold = threshold
+        self.packs: dict[tuple[str, str], CandidatePack] = {}
+        self.fold = _Memo(simdist.fold).__getitem__
+        self.nt_score = partial(_lookup, _Memo(_skeleton_score))
+
+    def lookups(self, direction: str, ne: NeSpan,
+                candidates: Sequence[tuple[str, float]]) -> dict:
+        """`match_span`'s keywords for `ne`, matched in `direction`."""
+        if ne.ne_type is NeType.NT:
+            return {"skeleton": self.skeleton, "nt_score": self.nt_score}
+        key = direction, ne.surface
+        pack = self.packs.get(key)
+        if pack is None:
+            pack = self.packs[key] = pack_candidates(candidates, self.threshold)
+        return {"pack": pack, "fold": self.fold}
 
 
 def _nt_skeletons(tasks, cfg: AlignConfig) -> Skeleton:
@@ -334,13 +430,13 @@ def _nt_skeletons(tasks, cfg: AlignConfig) -> Skeleton:
                 for start in range(n):
                     for end in range(start + 1, min(start + cfg.max_ngram, n) + 1):
                         need(" ".join(other.tokens[start:end]), other.lang)
-    return partial(_skeleton_of, skeletons)
+    return partial(_lookup, skeletons)
 
 
 def _match_task(task, cfg: AlignConfig, s2t: Translator | None,
-                t2s: Translator | None, skeleton: Skeleton) -> list[AlignedPair]:
+                t2s: Translator | None, plan: _Plan) -> list[AlignedPair]:
     pair, src_spans, tgt_spans = task
-    return align_sentence_pair(pair, src_spans, tgt_spans, cfg, s2t, t2s, skeleton=skeleton)
+    return align_sentence_pair(pair, src_spans, tgt_spans, cfg, s2t, t2s, plan=plan)
 
 
 def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
@@ -352,8 +448,13 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
     Recognizes every sentence in-process, decodes the distinct PER/LOC
     surfaces of each enabled direction once, first occurrence first,
     normalizes the digit skeletons NT matching needs once (`_nt_skeletons`),
-    then matches the sentences. jobs > 1 fans out the decodes, then the
-    sentences, to processes; only the translators need to be picklable.
+    then matches the sentences. Matching builds each candidate pack, token
+    fold and skeleton score once, at its first use (`_Plan`), and drops them
+    when the run returns; as each is a deterministic function of its input,
+    the result is the same as matching every span on its own, and errors
+    and warnings come at the same spans. jobs > 1 fans out the decodes,
+    then the sentences, to processes; each chunk of sentences a process is
+    sent fills memos of its own. Only the translators need to be picklable.
     """
     tasks = [(pair, recognizer.recognize(pair.src, pair.id, "source"),
               recognizer.recognize(pair.tgt, pair.id, "target")) for pair in corpus]
@@ -362,7 +463,7 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
     for task in tasks:  # a missing translator fails at its first span, before any decode
         for direction, side in missing:
             for ne in task[side]:
-                _candidates(ne, None, direction)
+                _candidates(ne, None, direction, cfg.beam_width)
 
     def decoded(translator: Translator | None, direction: str, side: int):
         if translator is None or cfg.directions not in (BOTH, direction):
@@ -372,7 +473,7 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
         return decode_once(translator, list(surfaces), jobs)
 
     match = partial(_match_task, cfg=cfg, s2t=decoded(s2t, S2T, 1), t2s=decoded(t2s, T2S, 2),
-                    skeleton=_nt_skeletons(tasks, cfg))
+                    plan=_Plan(_nt_skeletons(tasks, cfg), cfg.sim_threshold))
     per_sentence = pmap(match, tasks, jobs)
 
     alignments: list[AlignedPair] = []

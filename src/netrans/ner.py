@@ -109,7 +109,8 @@ class Gazetteer:
                 continue
             for j in range(start, start + width):
                 covered[j] = True
-            spans.append(NeSpan(sentence_id, side, start, start + width, ne_type))
+            spans.append(NeSpan(sentence_id, side, start, start + width, ne_type,
+                                " ".join(tokens[start:start + width])))
 
         lang = sentence.lang
         is_nt = [not covered[i] and self._is_nt_token(tok, lang) for i, tok in enumerate(tokens)]
@@ -121,11 +122,11 @@ class Gazetteer:
             j = i + 1
             while j < n and is_nt[j]:
                 j += 1
-            spans.append(NeSpan(sentence_id, side, i, j, NeType.NT))
+            spans.append(NeSpan(sentence_id, side, i, j, NeType.NT, " ".join(tokens[i:j])))
             i = j
 
         spans.sort(key=lambda s: s.start)
-        return [s.with_surface(sentence) for s in spans]
+        return spans
 
 
 class AnnotationRecognizer:

@@ -1,3 +1,4 @@
+import gc
 import logging
 import pickle
 import re
@@ -574,6 +575,147 @@ def test_align_corpus_normalizes_each_nt_text_once(monkeypatch):
         planned.append(list(calls))
     assert planned[0] == planned[1]  # in-process, whatever the job count
     assert Counter(planned[0]) == Counter(set(per_span_calls))
+
+
+def per_span_alignments(corpus, recognizer, cfg, s2t, t2s):
+    """Every sentence through `align_sentence_pair` with no plan: each span
+    packs its candidates, folds its tokens and scores its skeletons itself."""
+    out = []
+    for p in corpus:
+        out += align_sentence_pair(p, recognizer.recognize(p.src, p.id, "source"),
+                                   recognizer.recognize(p.tgt, p.id, "target"), cfg, s2t, t2s)
+    return out
+
+
+def test_align_corpus_packs_each_surface_once_per_direction(monkeypatch):
+    synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.1)
+    recognizer = AnnotationRecognizer(synthetic.annotations)
+    # k-best lists of three, so that packing joins several candidates
+    tables = ({p.src: [(p.tgt, 0.0), (p.tgt[1:], -1.0), ("zz", -2.0)]
+               for p in synthetic.train_pairs},
+              {p.tgt: [(p.src, 0.0), (p.src[1:], -1.0), ("之", -2.0)]
+               for p in synthetic.train_pairs})
+    s2t, t2s = DictTranslator(tables[0]), DictTranslator(tables[1])
+    want = per_span_alignments(synthetic.corpus, recognizer, CFG, s2t, t2s)
+    assert {a.ne_type for a in want} >= {NeType.PER, NeType.LOC}
+
+    built = []
+    pack = align.pack_candidates
+
+    def counting(candidates, threshold):
+        built.append(tuple(candidates))
+        return pack(candidates, threshold)
+
+    monkeypatch.setattr(align, "pack_candidates", counting)
+    alignments, _ = align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s)
+    assert alignments == want
+    spans = {}  # (direction, surface) of every PER/LOC span, in corpus order
+    for p in synthetic.corpus:
+        for direction, side, sentence in (("s2t", "source", p.src), ("t2s", "target", p.tgt)):
+            for ne in recognizer.recognize(sentence, p.id, side):
+                if ne.ne_type is not NeType.NT:
+                    spans.setdefault((direction, ne.surface), []).append(ne)
+    assert any(len(occurrences) > 1 for occurrences in spans.values())
+    translators = {"s2t": s2t, "t2s": t2s}
+    assert built == [tuple(translators[direction](surface)) for direction, surface in spans]
+
+    built.clear()  # at jobs=2 the workers build the packs, none in this process
+    assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=2)[0] == want
+    assert built == []
+
+
+def test_align_corpus_scores_each_skeleton_pair_once(monkeypatch):
+    synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.1)
+    recognizer = AnnotationRecognizer(synthetic.annotations)
+    s2t = DictTranslator({p.src: [(p.tgt, 0.0)] for p in synthetic.train_pairs})
+    t2s = DictTranslator({p.tgt: [(p.src, 0.0)] for p in synthetic.train_pairs})
+    calls = []
+    real = numnorm.skeleton_similarity
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(numnorm, "skeleton_similarity", counting)
+    want = per_span_alignments(synthetic.corpus, recognizer, CFG, s2t, t2s)
+    per_span_calls = Counter(calls)
+    assert max(per_span_calls.values()) > 1  # pairs repeat, so scores are saved
+    assert any(a.ne_type is NeType.NT for a in want)
+
+    calls.clear()
+    assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s)[0] == want
+    assert Counter(calls) == Counter(set(per_span_calls))
+
+
+def test_overlong_comparisons_warn_at_every_repeat(caplog):
+    # one surface and one digit skeleton in three sentences: every over-long
+    # comparison is counted in its own sentence's warning, memo or not
+    long_digits = "7" * 1030
+    corpus = [pair(i, ["波林", long_digits], ["bolin", "7", long_digits, tail])
+              for i, tail in enumerate(["said", "arrived", "said"])]
+    spans = []
+    for p in corpus:
+        spans += [per_span(p.id, "source", 0, 1, "波林"),
+                  NeSpan(p.id, "source", 1, 2, NeType.NT, long_digits),
+                  NeSpan(p.id, "target", 1, 3, NeType.NT, "7 " + long_digits)]
+    recognizer = AnnotationRecognizer(spans)
+    s2t = DictTranslator({"波林": [("x" * 1025, 0.0), ("bolin", -1.0)]})
+    runs = []
+    for align_run in (lambda: per_span_alignments(corpus, recognizer, CFG, s2t, None),
+                      lambda: align_corpus(corpus, recognizer, CFG, s2t, None)[0]):
+        runs.append(outcome(caplog, align_run))
+    assert runs[0] == runs[1]
+    alignments, warnings = runs[1]
+    assert [(a.sentence_id, a.src_start, a.tgt_start) for a in alignments] == [
+        (0, 0, 0), (1, 0, 0), (2, 0, 0)]
+    assert len(warnings) == 3 * 3  # the long candidate, the NT span on each side
+    # all 9 ranges with the long candidate, the 5 through the long token with "bolin"
+    assert sum("14 comparison(s) for PER span '波林'" in w for w in warnings) == 3
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_empty_candidate_list_fails_at_its_first_span(jobs):
+    corpus = [pair(0, ["波林", "说"], ["bolin", "said"]),
+              pair(1, ["保林", "来"], ["bolin", "arrived"]),
+              pair(2, ["保林", "走"], ["baolin", "left"])]
+    recognizer = AnnotationRecognizer(
+        [per_span(0, "source", 0, 1, "波林"), per_span(0, "target", 0, 1, "bolin"),
+         per_span(1, "source", 0, 1, "保林"), per_span(2, "source", 0, 1, "保林"),
+         per_span(2, "target", 0, 1, "baolin")])
+    s2t = DictTranslator({"波林": [("bolin", 0.0)], "保林": [("", 0.0)]})
+    t2s = DictTranslator({"bolin": [("波林", 0.0)], "baolin": []})
+    first = "no translation candidates for PER span '保林'"  # sentence 1 comes first
+    with pytest.raises(ConfigError, match=f"^{re.escape(first)}$"):
+        per_span_alignments(corpus, recognizer, CFG, s2t, t2s)
+    with pytest.raises(ConfigError, match=f"^{re.escape(first)}$"):
+        align_corpus(corpus, recognizer, CFG, s2t, t2s, jobs=jobs)
+
+
+def test_beam_width_caps_the_candidates_matched():
+    # the second candidate is the one that matches
+    p = pair(0, ["波林", "说"], ["bolin", "said"])
+    recognizer = AnnotationRecognizer([per_span(0, "source", 0, 1, "波林")])
+    s2t = DictTranslator({"波林": [("qqqq", 0.0), ("bolin", -1.0)]})
+    for beam_width, want in ((5, [(0, 0, "s2t")]), (2, [(0, 0, "s2t")]), (1, [])):
+        cfg = AlignConfig(beam_width=beam_width)
+        for alignments in (align_sentence_pair(p, recognizer.recognize(p.src, 0, "source"), [],
+                                               cfg, s2t),
+                           align_corpus([p], recognizer, cfg, s2t)[0]):
+            assert [(a.src_start, a.tgt_start, a.direction) for a in alignments] == want
+
+
+def test_the_memos_go_with_the_run():
+    s2t, t2s = corpus_translators()
+    align_corpus(small_corpus(), TwoSentenceRecognizer(), CFG, s2t, t2s)
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, align._Plan)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(m=st.integers(1, simdist.MAX_CHARS), threshold=THRESHOLDS)
+def test_most_unmatched_is_the_threshold_test(m, threshold):
+    want = next(u for u in range(m, -1, -1) if (m - u) / m >= threshold)
+    assert align._most_unmatched(m, threshold) == want
 
 
 def test_recognition_runs_in_process_and_needs_no_pickling():
