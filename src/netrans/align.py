@@ -15,14 +15,13 @@ the pass reaches the n-gram's end.
 
 Names, numbers and words repeat across a corpus, so `align_corpus`
 recognizes every sentence, decodes each distinct surface of each direction
-once (`decode_once`, also used by `netrans restore`), normalizes each
-distinct `(text, lang)` the NT matching needs to its digit skeleton once,
-then matches the sentences. While matching it packs the candidates of each
-distinct `(direction, surface)` once, folds each distinct token once and
-scores each distinct pair of digit skeletons once (`_Plan`), so the
-per-sentence loop only scans. This is exact, for any job count: each of
-these is a deterministic function of its input, so one result serves every
-occurrence, and `pmap` returns results in input order.
+once (`decode_once`, also used by `netrans restore`), then matches the
+sentences through one set of memos (`_Memos`): each distinct candidate list
+is packed once, each distinct token folded once, each distinct `(text,
+lang)` normalized to its digit skeleton once and each distinct pair of
+skeletons scored once, at first use. This is exact, for any job count: each
+memo is keyed by the whole input of a deterministic function, so one result
+serves every occurrence, and `pmap` returns results in input order.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ DIRECTIONS = (BOTH, S2T, T2S)
 
 # k-best: text -> [(candidate, logprob), ...]
 Translator = Callable[[str], Sequence[tuple[str, float]]]
-# (text, lang) -> digit skeleton
-Skeleton = Callable[[str, str], str]
 
 
 @dataclass(frozen=True)
@@ -127,10 +124,7 @@ def _most_unmatched(m: int, threshold: float) -> int:
 
 def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
                other_tokens: Sequence[str], cfg: AlignConfig, *,
-               ne_lang: str, other_lang: str,
-               skeleton: Skeleton | None = None, pack: CandidatePack | None = None,
-               fold: Callable[[str], str] | None = None,
-               nt_score: Callable[[str, str], float] | None = None,
+               ne_lang: str, other_lang: str, memos: _Memos | None = None,
                ) -> tuple[int, int, float] | None:
     """Best-scoring token range for one entity, or None below threshold.
 
@@ -152,42 +146,42 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     joining tokens by spaces, so the result is the same as comparing each
     range with each candidate on its own.
 
-    NT ranges match on digit skeletons, by default
-    `numnorm.normalize_numeric` and `numnorm.skeleton_similarity`.
+    NT ranges match on digit skeletons (`numnorm.normalize_numeric` and
+    `numnorm.skeleton_similarity`).
 
-    The keywords let `align_corpus` hand in what it computes once per run
-    in place of the per-call work: `skeleton(text, lang)`, the `pack`
-    `pack_candidates(candidates, cfg.sim_threshold)` gives (`candidates`
-    are then not read), `fold(token)` and `nt_score(wanted, skeleton)`.
-    Each must give what the per-call path computes, which then holds for
-    the result too.
+    The candidate pack, the token folds, the digit skeletons and their
+    scores come from `memos`, which must be built for `cfg.sim_threshold`;
+    without it the call builds its own. `align_corpus` shares one across
+    its run. Each memo is keyed by the whole input of what it computes, so
+    the result does not depend on what the memos already hold.
     """
     n = len(other_tokens)
     threshold = cfg.sim_threshold
+    if memos is None:
+        memos = _Memos(threshold)
     hits = []  # (-score, width, start, rank) of every range at or above threshold
     too_long = 0
     if ne.ne_type is NeType.NT:
-        skeleton = skeleton or numnorm.normalize_numeric
-        nt_score = nt_score or numnorm.skeleton_similarity
-        wanted = skeleton(ne.surface, ne_lang)
+        skeleton, nt_score = memos.skeleton, memos.nt_score
+        wanted = skeleton[ne.surface, ne_lang]
         if not wanted:
             return None  # every range would score 0.0, below any threshold
         for start in range(n):
             for end in range(start + 1, min(start + cfg.max_ngram, n) + 1):
                 text = " ".join(other_tokens[start:end])
                 try:
-                    score = nt_score(wanted, skeleton(text, other_lang))
+                    score = nt_score[wanted, skeleton[text, other_lang]]
                 except LengthLimitError:
                     too_long += 1
                     continue
                 if score >= threshold:
                     hits.append((-score, end - start, start, 0))
     else:
-        segments, masks, full, space, overlong = pack or pack_candidates(candidates, threshold)
+        segments, masks, full, space, overlong = memos.packs[tuple(candidates)]
         if not segments and not overlong:
             raise ConfigError(
                 f"no translation candidates for {ne.ne_type.value} span {ne.surface!r}")
-        folded = list(map(fold or simdist.fold, other_tokens))
+        folded = list(map(memos.fold.__getitem__, other_tokens))
         stops = [min(start + cfg.max_ngram, n) for start in range(n)]
         if overlong:
             too_long += overlong * sum(stop - start for start, stop in enumerate(stops))
@@ -240,26 +234,27 @@ def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
                         tgt_spans: Sequence[NeSpan], cfg: AlignConfig,
                         s2t: Translator | None = None,
                         t2s: Translator | None = None, *,
-                        plan: _Plan | None = None) -> list[AlignedPair]:
+                        memos: _Memos | None = None) -> list[AlignedPair]:
     """Union of both matching directions for one sentence pair.
 
     Matches whose source and target ranges both overlap collapse into a
     single direction="both" pair keeping each direction's recognized span
     and the higher score. Remaining conflicts are resolved score-first
     (then s2t before t2s), one link per token on either side. Each span is
-    matched against the first `cfg.beam_width` of its candidates. `plan`,
-    which `align_corpus` passes, hands `match_span` the run's lookups.
+    matched against the first `cfg.beam_width` of its candidates, through
+    `memos` (see `match_span`), built for this sentence when none is given.
     """
     src_spans = _spans_for(pair, src_spans, "source")
     tgt_spans = _spans_for(pair, tgt_spans, "target")
+    if memos is None:
+        memos = _Memos(cfg.sim_threshold)
 
     fwd: list[AlignedPair] = []
     if cfg.directions in (BOTH, S2T):
         for ne in src_spans:
             cands = _candidates(ne, s2t, S2T, cfg.beam_width)
             hit = match_span(ne, cands, pair.tgt.tokens, cfg, ne_lang=pair.src.lang,
-                             other_lang=pair.tgt.lang,
-                             **(plan.lookups(S2T, ne, cands) if plan else {}))
+                             other_lang=pair.tgt.lang, memos=memos)
             if hit:
                 start, end, score = hit
                 fwd.append(AlignedPair(pair.id, ne.start, ne.end, start, end,
@@ -270,8 +265,7 @@ def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
         for ne in tgt_spans:
             cands = _candidates(ne, t2s, T2S, cfg.beam_width)
             hit = match_span(ne, cands, pair.src.tokens, cfg, ne_lang=pair.tgt.lang,
-                             other_lang=pair.src.lang,
-                             **(plan.lookups(T2S, ne, cands) if plan else {}))
+                             other_lang=pair.src.lang, memos=memos)
             if hit:
                 start, end, score = hit
                 rev.append(AlignedPair(pair.id, start, end, ne.start, ne.end,
@@ -350,10 +344,6 @@ def decode_once(translator: Translator, surfaces: Sequence[str], jobs: int) -> T
     return dict(zip(surfaces, pmap(translator, surfaces, jobs))).__getitem__
 
 
-def _lookup(table, *key):
-    return table[key]
-
-
 class _Memo(dict):
     """`func(key)` for each key looked up, computed at its first lookup; an
     exception `func` raises is not stored, so the next lookup raises again."""
@@ -367,76 +357,42 @@ class _Memo(dict):
         return value
 
 
+def _pack(candidates: tuple[tuple[str, float], ...], threshold: float) -> CandidatePack:
+    return pack_candidates(candidates, threshold)
+
+
+def _skeleton(key: tuple[str, str]) -> str:
+    return numnorm.normalize_numeric(*key)
+
+
 def _skeleton_score(key: tuple[str, str]) -> float:
     return numnorm.skeleton_similarity(*key)
 
 
-class _Plan:
-    """The lookups one `align_corpus` run hands `match_span`, each a
-    deterministic function of its key, computed once per distinct key.
+class _Memos:
+    """What `match_span` works out from its inputs, for scoring at
+    `threshold`, each memo keyed by the whole input of what it computes:
+    `packs` by candidate list, `fold` by token, `skeleton` by `(text,
+    lang)` and `nt_score` by `(wanted, skeleton)` pair.
 
-    `skeleton` is `_nt_skeletons`' lookup. The candidate pack of each
-    `(direction, surface)`, the fold of each token and the score of each
-    `(wanted, n-gram)` skeleton pair are memos filled at first use, in the
-    process that matches, so an empty candidate list still raises at its
-    first span in corpus order and an over-long skeleton comparison raises,
-    and is warned about, at every span that makes it. They go when the run
-    drops its match function.
+    `pack_candidates` and the `numnorm` functions are looked up at each
+    computation, so a patched one is called. A memo fills at first use, in
+    the process that matches; an exception is not stored, so an over-long
+    skeleton comparison raises, and is warned about, at every span that
+    makes it.
     """
 
-    def __init__(self, skeleton: Skeleton | None, threshold: float):
-        self.skeleton = skeleton
-        self.threshold = threshold
-        self.packs: dict[tuple[str, str], CandidatePack] = {}
-        self.fold = _Memo(simdist.fold).__getitem__
-        self.nt_score = partial(_lookup, _Memo(_skeleton_score))
-
-    def lookups(self, direction: str, ne: NeSpan,
-                candidates: Sequence[tuple[str, float]]) -> dict:
-        """`match_span`'s keywords for `ne`, matched in `direction`."""
-        if ne.ne_type is NeType.NT:
-            return {"skeleton": self.skeleton, "nt_score": self.nt_score}
-        key = direction, ne.surface
-        pack = self.packs.get(key)
-        if pack is None:
-            pack = self.packs[key] = pack_candidates(candidates, self.threshold)
-        return {"pack": pack, "fold": self.fold}
-
-
-def _nt_skeletons(tasks, cfg: AlignConfig) -> Skeleton:
-    """The digit skeletons NT matching asks for over (pair, source spans,
-    target spans) tasks, as a `(text, lang)` lookup.
-
-    Each NT surface of an enabled direction is normalized, and so is every
-    n-gram of the other side when one of the sentence side's NT skeletons is
-    non-empty, as `match_span` needs them. Each distinct `(text, lang)` is
-    normalized once, in-process, first occurrence first.
-    """
-    skeletons: dict[tuple[str, str], str] = {}
-
-    def need(text: str, lang: str) -> str:
-        if (text, lang) not in skeletons:
-            skeletons[text, lang] = numnorm.normalize_numeric(text, lang)
-        return skeletons[text, lang]
-
-    for pair, src_spans, tgt_spans in tasks:
-        for direction, spans, own, other in ((S2T, src_spans, pair.src, pair.tgt),
-                                             (T2S, tgt_spans, pair.tgt, pair.src)):
-            if cfg.directions not in (BOTH, direction):
-                continue
-            wanted = [need(ne.surface, own.lang) for ne in spans if ne.ne_type is NeType.NT]
-            if any(wanted):
-                n = len(other.tokens)
-                for start in range(n):
-                    for end in range(start + 1, min(start + cfg.max_ngram, n) + 1):
-                        need(" ".join(other.tokens[start:end]), other.lang)
-    return partial(_lookup, skeletons)
+    def __init__(self, threshold: float):
+        self.packs = _Memo(partial(_pack, threshold=threshold))
+        self.fold = _Memo(simdist.fold)
+        self.skeleton = _Memo(_skeleton)
+        self.nt_score = _Memo(_skeleton_score)
 
 
 def _match_task(task, cfg: AlignConfig, s2t: Translator | None,
-                t2s: Translator | None, plan: _Plan) -> list[AlignedPair]:
+                t2s: Translator | None, memos: _Memos) -> list[AlignedPair]:
     pair, src_spans, tgt_spans = task
-    return align_sentence_pair(pair, src_spans, tgt_spans, cfg, s2t, t2s, plan=plan)
+    return align_sentence_pair(pair, src_spans, tgt_spans, cfg, s2t, t2s, memos=memos)
 
 
 def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
@@ -446,12 +402,10 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
     """Align every sentence pair and aggregate the extracted entity pairs.
 
     Recognizes every sentence in-process, decodes the distinct PER/LOC
-    surfaces of each enabled direction once, first occurrence first,
-    normalizes the digit skeletons NT matching needs once (`_nt_skeletons`),
-    then matches the sentences. Matching builds each candidate pack, token
-    fold and skeleton score once, at its first use (`_Plan`), and drops them
-    when the run returns; as each is a deterministic function of its input,
-    the result is the same as matching every span on its own, and errors
+    surfaces of each enabled direction once, first occurrence first, then
+    matches the sentences through one `_Memos`, dropped when the run
+    returns. As each memo is keyed by the whole input of what it computes,
+    the result is the same as aligning each sentence on its own, and errors
     and warnings come at the same spans. jobs > 1 fans out the decodes,
     then the sentences, to processes; each chunk of sentences a process is
     sent fills memos of its own. Only the translators need to be picklable.
@@ -473,7 +427,7 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
         return decode_once(translator, list(surfaces), jobs)
 
     match = partial(_match_task, cfg=cfg, s2t=decoded(s2t, S2T, 1), t2s=decoded(t2s, T2S, 2),
-                    plan=_Plan(_nt_skeletons(tasks, cfg), cfg.sim_threshold))
+                    memos=_Memos(cfg.sim_threshold))
     per_sentence = pmap(match, tasks, jobs)
 
     alignments: list[AlignedPair] = []

@@ -238,6 +238,8 @@ def cmd_replace(args) -> int:
         return 0
 
     _require(args, "lang", "out", "out_symmap")
+    if args.oov_only and not args.vocab:
+        raise ConfigError("--oov-only needs --vocab, the tokens the MT system knows")
     recognizer = _make_recognizer(args)
     vocab = None
     if args.vocab:
@@ -452,7 +454,7 @@ def _build() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--gazetteer")
     p.add_argument("--vocab", help="known-token list; first column is the token")
     p.add_argument("--oov-only", action="store_true",
-                   help="only replace spans containing unknown tokens")
+                   help="only replace spans containing tokens not in --vocab")
     p.add_argument("--out")
     p.add_argument("--out-symmap")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for the sentences")

@@ -19,7 +19,7 @@ from netrans.align import (
     read_alignments,
     write_alignments,
 )
-from netrans.core import NeSpan, NeType, Sentence, SentencePair
+from netrans.core import NePair, NeSpan, NeType, Sentence, SentencePair
 from netrans.errors import ConfigError, ContractError, LengthLimitError, ParseError
 from netrans.ner import AnnotationRecognizer, Gazetteer
 
@@ -548,6 +548,17 @@ def test_a_missing_translator_fails_at_its_first_span_before_any_decode(tmp_path
     assert all(t.calls() == Counter() for t in (s2t, t2s) if t is not None)
 
 
+def per_span_alignments(corpus, recognizer, cfg, s2t, t2s):
+    """Every sentence through `align_sentence_pair` with fresh memos: each
+    sentence packs its candidates, folds its tokens and scores its skeletons
+    itself."""
+    out = []
+    for p in corpus:
+        out += align_sentence_pair(p, recognizer.recognize(p.src, p.id, "source"),
+                                   recognizer.recognize(p.tgt, p.id, "target"), cfg, s2t, t2s)
+    return out
+
+
 def test_align_corpus_normalizes_each_nt_text_once(monkeypatch):
     synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.1)
     recognizer = AnnotationRecognizer(synthetic.annotations)
@@ -561,33 +572,22 @@ def test_align_corpus_normalizes_each_nt_text_once(monkeypatch):
         return real(text, lang, table)
 
     monkeypatch.setattr(numnorm, "normalize_numeric", counting)
-    with monkeypatch.context() as unplanned:  # no plan: each NT span normalizes on its own
-        unplanned.setattr(align, "_nt_skeletons", lambda tasks, cfg: None)
-        want = align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s)
+    want = per_span_alignments(synthetic.corpus, recognizer, CFG, s2t, t2s)
     per_span_calls = Counter(calls)
     assert max(per_span_calls.values()) > 1  # texts repeat, so normalizations are saved
-    assert any(a.ne_type is NeType.NT for a in want[0])
+    assert any(a.ne_type is NeType.NT for a in want)
 
-    planned = []
-    for jobs in (1, 2):
-        calls.clear()
-        assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=jobs) == want
-        planned.append(list(calls))
-    assert planned[0] == planned[1]  # in-process, whatever the job count
-    assert Counter(planned[0]) == Counter(set(per_span_calls))
+    calls.clear()
+    got = align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s)
+    assert got[0] == want
+    assert Counter(calls) == Counter(set(per_span_calls))
 
-
-def per_span_alignments(corpus, recognizer, cfg, s2t, t2s):
-    """Every sentence through `align_sentence_pair` with no plan: each span
-    packs its candidates, folds its tokens and scores its skeletons itself."""
-    out = []
-    for p in corpus:
-        out += align_sentence_pair(p, recognizer.recognize(p.src, p.id, "source"),
-                                   recognizer.recognize(p.tgt, p.id, "target"), cfg, s2t, t2s)
-    return out
+    calls.clear()  # at jobs=2 the workers normalize, none in this process
+    assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=2) == got
+    assert calls == []
 
 
-def test_align_corpus_packs_each_surface_once_per_direction(monkeypatch):
+def test_align_corpus_packs_each_candidate_list_once(monkeypatch):
     synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.1)
     recognizer = AnnotationRecognizer(synthetic.annotations)
     # k-best lists of three, so that packing joins several candidates
@@ -609,15 +609,16 @@ def test_align_corpus_packs_each_surface_once_per_direction(monkeypatch):
     monkeypatch.setattr(align, "pack_candidates", counting)
     alignments, _ = align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s)
     assert alignments == want
-    spans = {}  # (direction, surface) of every PER/LOC span, in corpus order
+    translators = {"s2t": s2t, "t2s": t2s}
+    spans = []  # (direction, surface) of every PER/LOC span, in the order matched
     for p in synthetic.corpus:
         for direction, side, sentence in (("s2t", "source", p.src), ("t2s", "target", p.tgt)):
-            for ne in recognizer.recognize(sentence, p.id, side):
-                if ne.ne_type is not NeType.NT:
-                    spans.setdefault((direction, ne.surface), []).append(ne)
-    assert any(len(occurrences) > 1 for occurrences in spans.values())
-    translators = {"s2t": s2t, "t2s": t2s}
-    assert built == [tuple(translators[direction](surface)) for direction, surface in spans]
+            spans += [(direction, ne.surface) for ne in recognizer.recognize(sentence, p.id, side)
+                      if ne.ne_type is not NeType.NT]
+    lists = [tuple(translators[direction](surface)) for direction, surface in spans]
+    # surfaces repeat, and the unknown ones of both directions share one list
+    assert len(set(lists)) < len(set(spans)) < len(spans)
+    assert built == list(dict.fromkeys(lists))
 
     built.clear()  # at jobs=2 the workers build the packs, none in this process
     assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=2)[0] == want
@@ -708,7 +709,7 @@ def test_the_memos_go_with_the_run():
     s2t, t2s = corpus_translators()
     align_corpus(small_corpus(), TwoSentenceRecognizer(), CFG, s2t, t2s)
     gc.collect()
-    assert not [o for o in gc.get_objects() if isinstance(o, align._Plan)]
+    assert not [o for o in gc.get_objects() if isinstance(o, align._Memos)]
 
 
 @settings(max_examples=1000, deadline=None)
@@ -837,7 +838,7 @@ TGT_TOKENS = ["bolin", "anna", "beijing", "3", "five", "october", "the", "bo", "
 
 
 @st.composite
-def spans_on(draw, sentence: Sentence, side: str):
+def spans_on(draw, sentence: Sentence, side: str, sentence_id: int = 0):
     """1-4 in-bounds, non-overlapping typed spans sorted by start, as a recognizer gives."""
     n = len(sentence.tokens)
     starts = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)))
@@ -846,7 +847,7 @@ def spans_on(draw, sentence: Sentence, side: str):
         limit = starts[i + 1] if i + 1 < len(starts) else n
         end = draw(st.integers(start + 1, limit))
         ne_type = draw(st.sampled_from([NeType.PER, NeType.LOC, NeType.NT]))
-        spans.append(NeSpan(0, side, start, end, ne_type).with_surface(sentence))
+        spans.append(NeSpan(sentence_id, side, start, end, ne_type).with_surface(sentence))
     return spans
 
 
@@ -881,3 +882,69 @@ def test_no_token_is_linked_twice(data, src, tgt, threshold, max_ngram, directio
     assert all(count == 1 for count in tgt_used.values())
     assert all(0 <= a.src_start < a.src_end <= len(src) for a in links)
     assert all(0 <= a.tgt_start < a.tgt_end <= len(tgt) for a in links)
+
+
+# -- one run's memos against fresh ones -------------------------------------------
+
+# names and NT texts, few enough that spans match and repeat; now and then a
+# token over-long alone or once joined
+MEMO_SRC = ["波林", "北京", "百分之四点二", "十月"]
+MEMO_TGT = ["bolin", "beijing", "4.2%", "october"]
+MEMO_SRC_TOKEN = st.sampled_from(MEMO_SRC * 2 + ["7" * 1030])
+MEMO_TGT_TOKEN = st.sampled_from(MEMO_TGT * 2 + ["a" * 1020, "ß" * 1025])
+
+
+def ne_pairs_of(corpus, alignments):
+    """The entity pairs `align_corpus` reports with `alignments`."""
+    counts = Counter()
+    for a in alignments:
+        p = corpus[a.sentence_id]
+        counts[" ".join(p.src.tokens[a.src_start:a.src_end]),
+               " ".join(p.tgt.tokens[a.tgt_start:a.tgt_end]), a.ne_type] += 1
+    pairs = [NePair(src, tgt, ne_type, count) for (src, tgt, ne_type), count in counts.items()]
+    return sorted(pairs, key=lambda p: (-p.count, p.src, p.tgt, p.ne_type.value))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(),
+       templates=st.lists(st.tuples(st.lists(MEMO_SRC_TOKEN, min_size=1, max_size=5),
+                                    st.lists(MEMO_TGT_TOKEN, min_size=1, max_size=5)),
+                          min_size=1, max_size=3),
+       threshold=st.sampled_from([0.3, 0.6, 1.0]),
+       max_ngram=st.integers(1, 3),
+       beam_width=st.integers(1, 3),
+       directions=st.sampled_from(["both", "s2t", "t2s"]))
+def test_one_run_of_memos_aligns_as_fresh_memos_per_sentence(caplog, data, templates, threshold,
+                                                             max_ngram, beam_width, directions):
+    # sentences repeat a few templates, so surfaces and n-grams repeat across them
+    order = data.draw(st.lists(st.integers(0, len(templates) - 1), min_size=2, max_size=6))
+    corpus = [pair(i, *templates[t]) for i, t in enumerate(order)]
+    spans = []
+    for p in corpus:
+        spans += data.draw(spans_on(p.src, "source", p.id))
+        spans += data.draw(spans_on(p.tgt, "target", p.id))
+    # a few k-best lists, each shared by the surfaces of both directions that
+    # draw it; some are prefixes of one another, and one surface's may be empty
+    word = st.sampled_from(MEMO_SRC + MEMO_TGT)
+    phrase = st.one_of(st.sampled_from(MEMO_SRC + MEMO_TGT + ["", *OVERLONG_CANDIDATES]),
+                       st.tuples(word, word).map(" ".join))
+    k_best = st.lists(st.tuples(phrase, st.floats(-9.0, 0.0)), min_size=1, max_size=4)
+    longest = data.draw(k_best)
+    k_bests = [longest[:k] for k in range(1, len(longest) + 1)]
+    k_bests += data.draw(st.lists(k_best, max_size=2))
+    surfaces = sorted({s.surface for s in spans if s.ne_type is not NeType.NT})
+    table = {s: data.draw(st.sampled_from(k_bests)) for s in surfaces}
+    if surfaces and data.draw(st.integers(0, 7)) == 7:
+        table[data.draw(st.sampled_from(surfaces))] = []
+    translator = DictTranslator(table)
+    recognizer = AnnotationRecognizer(spans)
+    cfg = AlignConfig(sim_threshold=threshold, max_ngram=max_ngram, beam_width=beam_width,
+                      directions=directions)
+
+    def each_sentence():
+        alignments = per_span_alignments(corpus, recognizer, cfg, translator, translator)
+        return alignments, ne_pairs_of(corpus, alignments)
+
+    got = outcome(caplog, align_corpus, corpus, recognizer, cfg, translator, translator)
+    assert got == outcome(caplog, each_sentence)

@@ -428,6 +428,24 @@ def test_replace_rejects_an_alignment_row_outside_its_sentence(capsys, work, nt_
     assert "sentence 0: source range [5, 7) is empty or exceeds length 6" in err
 
 
+def test_replace_aborts_on_overlapping_alignment_rows_and_writes_nothing(capsys, work,
+                                                                        nt_corpus):
+    zh, en, _ = nt_corpus
+    rows = work / "overlapping.tsv"
+    rows.write_text("1\t2\t3\t2\t3\tNT\t1.0\tboth\n0\t2\t5\t5\t7\tNT\t1.0\tboth\n"
+                    "0\t4\t5\t6\t7\tNT\t1.0\tboth\n", encoding="utf-8")
+    outputs = [work / "overlap.zh", work / "overlap.en", work / "overlap_symbols.tsv"]
+    rc, out, err = run(capsys, "replace", "--alignments", str(rows),
+                       "--src", str(zh), "--tgt", str(en),
+                       "--src-lang", "zh", "--tgt-lang", "en",
+                       "--out-src", str(outputs[0]), "--out-tgt", str(outputs[1]),
+                       "--out-symmap", str(outputs[2]))
+    assert rc == 2
+    assert out == ""
+    assert "sentence 0: overlapping source ranges [2, 5) and [4, 5)" in err
+    assert not any(path.exists() for path in outputs)
+
+
 def test_replace_modes_are_mutually_exclusive(capsys, work, nt_corpus, aligned_nt):
     zh, _, ann = nt_corpus
     alignments, _ = aligned_nt
@@ -455,6 +473,25 @@ def test_replace_sentence_mode_with_vocabulary(capsys, work):
     assert "symbols\t1" in stdout
     assert out.read_text(encoding="utf-8") == "安娜 爱 LOC1\n"
     assert "LOC1\t巴林\tLOC" in symmap.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+def test_replace_oov_only_needs_a_vocabulary(capsys, work, from_file):
+    sents = work / "oov_input.zh"
+    sents.write_text("安娜 爱 巴林\n", encoding="utf-8")
+    ann = work / "oov_ann.tsv"
+    core.write_annotations([NeSpan(0, "source", 2, 3, NeType.LOC)], ann)
+    cfg = work / "oov.cfg"
+    cfg.write_text("oov-only = yes\n", encoding="utf-8")
+    out = work / "oov_out.zh"
+    rc, stdout, err = run(capsys, "replace",
+                          *(["--config", str(cfg)] if from_file else ["--oov-only"]),
+                          "--input", str(sents), "--lang", "zh", "--annotations", str(ann),
+                          "--out", str(out), "--out-symmap", str(work / "oov_symbols.tsv"))
+    assert rc == 1
+    assert stdout == ""
+    assert "--oov-only needs --vocab" in err
+    assert not out.exists()
 
 
 def test_replace_sentence_mode_with_gazetteer(capsys, work):
