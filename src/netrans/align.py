@@ -10,8 +10,9 @@ The comparison is the LCS similarity of `simdist`, run as one
 bit-parallel pass per start token that serves all of a span's candidates:
 the other sentence is folded once, the candidates sit side by side in one
 bit vector (the multi-pattern packing of Hyyrö, Fredriksson and Navarro
-2005), and every (n-gram, candidate) score is read off that vector when
-the pass reaches the n-gram's end.
+2005), and each (n-gram, candidate) score is read off that vector when
+the pass reaches the n-gram's end. The scan keeps only the best range so
+far, and skips the ranges and readouts that cannot beat it.
 
 Names, numbers and words repeat across a corpus, so `align_corpus`
 recognizes every sentence, decodes each distinct surface of each direction
@@ -80,6 +81,18 @@ class AlignedPair:
     direction: str
 
 
+class _Link(NamedTuple):
+    """An `AlignedPair` of one sentence, before conflicts are resolved."""
+
+    src_start: int
+    src_end: int
+    tgt_start: int
+    tgt_end: int
+    ne_type: NeType
+    score: float
+    direction: str
+
+
 class CandidatePack(NamedTuple):
     """A span's candidates side by side in one bit vector (see `match_span`)."""
 
@@ -122,6 +135,10 @@ def _most_unmatched(m: int, threshold: float) -> int:
     return unmatched
 
 
+# above every hit's key, as a hit scores above 0
+_NO_HIT = (0.0,)
+
+
 def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
                other_tokens: Sequence[str], cfg: AlignConfig, *,
                ne_lang: str, other_lang: str, memos: _Memos | None = None,
@@ -146,6 +163,24 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     joining tokens by spaces, so the result is the same as comparing each
     range with each candidate on its own.
 
+    The scan keeps only the smallest key `(-score, width, start, rank)` of
+    a range at or above threshold, and skips work that cannot make a
+    smaller one; each skip is exact by construction:
+    - Once that key scores 1.0 at width w, no range w or more tokens wide
+      is scanned. 1.0 means no unmatched bit, so the key holds exactly
+      -1.0; no score is higher, and at equal score the narrower, then the
+      leftmost, range wins. Narrower ranges at later starts are scanned.
+    - The scores are not read out when `v` is what it was at the previous
+      end of the same start, or `full` at the first: every candidate then
+      scores as in that narrower range, or 0, below any threshold.
+    - A start is skipped when no packed candidate has a space and its
+      token has no character of any candidate. Each of its ranges leaves
+      `v` as the range from the next start to the same end does, which is
+      one token narrower, and its one-token range scores 0.
+    A token's match masks are built when the scan first reaches it. The
+    `MAX_CHARS` count still walks every range, scanned or not, so the
+    warning is the one an unbounded scan gives.
+
     NT ranges match on digit skeletons (`numnorm.normalize_numeric` and
     `numnorm.skeleton_similarity`).
 
@@ -159,7 +194,7 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     threshold = cfg.sim_threshold
     if memos is None:
         memos = _Memos(threshold)
-    hits = []  # (-score, width, start, rank) of every range at or above threshold
+    best = _NO_HIT  # the smallest (-score, width, start, rank) at or above threshold
     too_long = 0
     if ne.ne_type is NeType.NT:
         skeleton, nt_score = memos.skeleton, memos.nt_score
@@ -175,43 +210,56 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
                     too_long += 1
                     continue
                 if score >= threshold:
-                    hits.append((-score, end - start, start, 0))
+                    best = min(best, (-score, end - start, start, 0))
     else:
         segments, masks, full, space, overlong = memos.packs[tuple(candidates)]
         if not segments and not overlong:
             raise ConfigError(
                 f"no translation candidates for {ne.ne_type.value} span {ne.surface!r}")
         folded = list(map(memos.fold.__getitem__, other_tokens))
-        stops = [min(start + cfg.max_ngram, n) for start in range(n)]
-        if overlong:
-            too_long += overlong * sum(stop - start for start, stop in enumerate(stops))
-        # a character no candidate has leaves the bit vector as it is
-        token_masks = [[x for x in map(masks.get, tok) if x] for tok in folded]
-        for start, stop in enumerate(stops):
-            v = full
+        token_masks: list[list[int] | None] = [None] * n  # built at first use
+        reach = cfg.max_ngram + 1  # no range this many tokens wide can beat `best`
+        for start in range(n):
+            stop = min(start + cfg.max_ngram, n)
+            too_long += overlong * (stop - start)
+            # a start with no candidate character and no space to match is dead
+            live = reach > 1 and (space or not masks.keys().isdisjoint(folded[start]))
+            v = prev = full
             length = -1
             for end in range(start + 1, stop + 1):
                 length += len(folded[end - 1]) + 1
                 if length > simdist.MAX_CHARS:
                     too_long += (stop - end + 1) * len(segments)  # the fragment only grows
                     break
+                if not live or end - start >= reach:
+                    continue  # cannot make a smaller key
                 if end > start + 1 and space:
                     u = v & space
                     v = ((v + u) | (v - u)) & full
-                for x in token_masks[end - 1]:
+                xs = token_masks[end - 1]
+                if xs is None:  # a character no candidate has leaves `v` as it is
+                    xs = token_masks[end - 1] = [x for x in map(masks.get, folded[end - 1]) if x]
+                for x in xs:
                     u = v & x
                     v = ((v + u) | (v - u)) & full
+                if v == prev:
+                    continue  # the scores of a narrower range, or all 0
+                prev = v
                 for rank, seg, m, most in segments:
                     unmatched = (v & seg).bit_count()
                     if unmatched <= most:
-                        hits.append((-(m - unmatched) / m, end - start, start, rank))
+                        key = (-(m - unmatched) / m, end - start, start, rank)
+                        if key < best:
+                            best = key
+                if best[0] == -1.0:  # a perfect score: only narrower ranges can win
+                    reach = best[1]
     if too_long:
         log.warning("sentence %d: %d comparison(s) for %s span %r exceed %d chars, "
                     "treated as no match", ne.sentence_id, too_long, ne.ne_type.value,
                     ne.surface, simdist.MAX_CHARS)
-    if not hits:
+    if best is _NO_HIT:
         return None
-    neg_score, width, start, _ = min(hits)
+    neg_score, width, start, _ = best
     return start, start + width, -neg_score
 
 
@@ -243,13 +291,15 @@ def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
     (then s2t before t2s), one link per token on either side. Each span is
     matched against the first `cfg.beam_width` of its candidates, through
     `memos` (see `match_span`), built for this sentence when none is given.
+    Matches are carried as `_Link`s, and an `AlignedPair` is built only for
+    each link kept.
     """
     src_spans = _spans_for(pair, src_spans, "source")
     tgt_spans = _spans_for(pair, tgt_spans, "target")
     if memos is None:
         memos = _Memos(cfg.sim_threshold)
 
-    fwd: list[AlignedPair] = []
+    fwd: list[_Link] = []
     if cfg.directions in (BOTH, S2T):
         for ne in src_spans:
             cands = _candidates(ne, s2t, S2T, cfg.beam_width)
@@ -257,10 +307,9 @@ def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
                              other_lang=pair.tgt.lang, memos=memos)
             if hit:
                 start, end, score = hit
-                fwd.append(AlignedPair(pair.id, ne.start, ne.end, start, end,
-                                       ne.ne_type, score, S2T))
+                fwd.append(_Link(ne.start, ne.end, start, end, ne.ne_type, score, S2T))
 
-    rev: list[AlignedPair] = []
+    rev: list[_Link] = []
     if cfg.directions in (BOTH, T2S):
         for ne in tgt_spans:
             cands = _candidates(ne, t2s, T2S, cfg.beam_width)
@@ -268,10 +317,9 @@ def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
                              other_lang=pair.src.lang, memos=memos)
             if hit:
                 start, end, score = hit
-                rev.append(AlignedPair(pair.id, start, end, ne.start, ne.end,
-                                       ne.ne_type, score, T2S))
+                rev.append(_Link(start, end, ne.start, ne.end, ne.ne_type, score, T2S))
 
-    pool = _merge_directions(fwd, rev)
+    pool = _merge_directions(fwd, rev, pair.id)
 
     rank = {BOTH: 0, S2T: 1, T2S: 2}
     pool.sort(key=lambda a: (-a.score, rank[a.direction], a.src_start, a.tgt_start))
@@ -288,7 +336,7 @@ def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
         accepted.append(a)
 
     accepted.sort(key=lambda a: (a.src_start, a.tgt_start))
-    return accepted
+    return [AlignedPair(pair.id, *a) for a in accepted]
 
 
 def _candidates(ne: NeSpan, translator: Translator | None, direction: str,
@@ -301,9 +349,9 @@ def _candidates(ne: NeSpan, translator: Translator | None, direction: str,
     return translator(ne.surface)[:beam_width]
 
 
-def _merge_directions(fwd: list[AlignedPair], rev: list[AlignedPair]) -> list[AlignedPair]:
+def _merge_directions(fwd: list[_Link], rev: list[_Link], sentence_id: int) -> list[_Link]:
     used_rev: set[int] = set()
-    pool: list[AlignedPair] = []
+    pool: list[_Link] = []
     for a in fwd:
         partner = None
         partner_key = None
@@ -316,7 +364,7 @@ def _merge_directions(fwd: list[AlignedPair], rev: list[AlignedPair]) -> list[Al
                 continue
             if a.ne_type != b.ne_type:
                 log.info("sentence %d: type disagreement %s/%s at src %d-%d, not merged",
-                         a.sentence_id, a.ne_type.value, b.ne_type.value,
+                         sentence_id, a.ne_type.value, b.ne_type.value,
                          a.src_start, a.src_end)
                 continue
             key = (-b.score, b.tgt_start)
@@ -329,9 +377,8 @@ def _merge_directions(fwd: list[AlignedPair], rev: list[AlignedPair]) -> list[Al
             used_rev.add(partner)
             b = rev[partner]
             # keep each direction's recognized span, drop the fuzzy matched ranges
-            pool.append(AlignedPair(a.sentence_id, a.src_start, a.src_end,
-                                    b.tgt_start, b.tgt_end, a.ne_type,
-                                    max(a.score, b.score), BOTH))
+            pool.append(_Link(a.src_start, a.src_end, b.tgt_start, b.tgt_end, a.ne_type,
+                              max(a.score, b.score), BOTH))
     pool.extend(b for j, b in enumerate(rev) if j not in used_rev)
     return pool
 

@@ -22,7 +22,7 @@ from functools import partial
 
 from . import __version__, align, core, numnorm, pipeline, simdist, synth
 from .core import NeType, Sentence
-from .errors import ConfigError, CorpusError, DataError, DivergenceError
+from .errors import ConfigError, ContractError, CorpusError, DataError, DivergenceError
 from .neural import ModelConfig, gradient_check, load_model, make_model, oriented, save_model
 from .neural import train as train_model
 from .neural import translate as beam_translate
@@ -228,6 +228,11 @@ def cmd_replace(args) -> int:
         by_sid: dict[int, list] = {}
         for a in align.read_alignments(args.alignments):
             by_sid.setdefault(a.sentence_id, []).append(a)
+        unknown = sorted(by_sid.keys() - {pair.id for pair in corpus})
+        if unknown:
+            raise ContractError(f"{args.alignments}: rows for {len(unknown)} sentence id(s) "
+                                f"the {len(corpus)}-pair corpus does not have, the first "
+                                f"{unknown[0]}")
         tasks = [(pair, by_sid.get(pair.id, [])) for pair in corpus]
         results = pmap(_replace_pair_task, tasks, args.jobs)
         core.write_parallel_corpus([pair for pair, _ in results], args.out_src, args.out_tgt)

@@ -55,10 +55,16 @@ class Sentence:
     lang: str
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        for tok in self.tokens:
-            if not tok or tok.split() != [tok]:
-                raise ValueError(f"token {tok!r} is empty or contains whitespace")
+        tokens = tuple(self.tokens)
+        object.__setattr__(self, "tokens", tokens)
+        try:  # equal exactly when every token is a non-empty string with no whitespace
+            valid = " ".join(tokens).split() == list(tokens)
+        except TypeError:  # a token that is not a string
+            valid = False
+        if not valid:  # the per-token test, to name the first bad token
+            for tok in tokens:
+                if not tok or tok.split() != [tok]:
+                    raise ValueError(f"token {tok!r} is empty or contains whitespace")
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -14,6 +14,7 @@ symbols in rewritten files always mean replacement.
 
 from __future__ import annotations
 
+import logging
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -22,6 +23,8 @@ from .align import AlignedPair, decode_once
 from .core import NePair, NeSpan, NeType, Sentence, SentencePair, _read_lines
 from .errors import ContractError, ParseError
 from .numnorm import month_name, month_number
+
+log = logging.getLogger(__name__)
 
 PLACEHOLDER_RE = re.compile(r"^(PER|LOC|NT)([1-9][0-9]*)$")
 # broader than the symbols we emit: PER0, NT007 etc. are escaped too
@@ -286,6 +289,8 @@ def restore_corpus(sentences: Sequence[Sentence], symbol_map: dict[int, Sequence
                    tgt_lang: str) -> tuple[list[Sentence], RestoreReport]:
     """`restore` over MT output sentences, with sentence i's entries at
     symbol_map[i]; returns the restored sentences and one summed report.
+    Entries for a sentence id the output does not have count as
+    unrealized, with one warning for them all.
 
     The translator is called once per distinct PER/LOC surface that the
     table misses, first occurrence first, through `align.decode_once` (jobs
@@ -312,6 +317,12 @@ def restore_corpus(sentences: Sequence[Sentence], symbol_map: dict[int, Sequence
         restored.append(out)
         for name, n in vars(report).items():
             setattr(totals, name, getattr(totals, name) + n)
+    orphans = [entries for sid, entries in symbol_map.items() if not 0 <= sid < len(sentences)]
+    if orphans:
+        count = sum(map(len, orphans))
+        totals.unrealized += count
+        log.warning("%d symbol-map entries for %d sentence id(s) the output does not have, "
+                    "counted as unrealized", count, len(orphans))
     return restored, totals
 
 

@@ -299,6 +299,129 @@ def test_packed_runs_of_one_character_equal_the_reference_loop(caplog, threshold
     assert bool(got[1]) == (max_ngram > 1)
 
 
+# -- the bounded scan -------------------------------------------------------------
+
+# (candidates, tokens): a perfect match, then a wider perfect match; a wide
+# perfect match, then a narrower one further right that must win; over-long
+# tokens after a perfect match, whose warning counts must not change;
+# candidates with a space beside start tokens that match nothing
+BOUNDED_SCAN_CASES = [
+    (["anna"], ("anna", "anna", "anna")),
+    (["bolin"], ("bo", "lin", "qq", "bolin")),
+    (["bo lin", "bolin"], ("bo", "lin", "zz", "bolin", "lin")),
+    (["bolin", "x" * 1025], ("bolin", "a" * 1020, "said", "ß" * 1025, "bolin")),
+    (["bolin", "bo"], ("qq", "bolin", "y" * 1020, "zz", "bo")),
+    (["bo lin"], ("qq", "bo", "zz", "lin", "qq", "bo", "lin")),
+    (["an na", "anna"], ("xx", "an", "na", "yy", "anna")),
+    (["lin"], ("qq", "zz", "xx")),
+    # the space after a token that matches nothing lifts "zz lin" to 4/6
+    (["bo lin"], ("zz", "lin", "qq")),
+    (["bo lin", "q"], ("zz", "lin", "zz", "bo")),
+]
+
+
+@pytest.mark.parametrize("threshold", [0.3, 0.6, 1.0])
+@pytest.mark.parametrize("max_ngram", [1, 2, 3, 4])
+@pytest.mark.parametrize("candidates, tokens", BOUNDED_SCAN_CASES)
+def test_bounded_scan_equals_the_reference_loop(caplog, candidates, tokens, threshold,
+                                                max_ngram):
+    ne = per_span(4, "source", 0, 1, "波林")
+    candidates = [(c, -rank / 2) for rank, c in enumerate(candidates)]
+    cfg = AlignConfig(sim_threshold=threshold, max_ngram=max_ngram)
+    got = outcome(caplog, match_span, ne, candidates, tokens, cfg,
+                  ne_lang="zh", other_lang="en")
+    assert got == outcome(caplog, reference_match_span, ne, candidates, tokens, cfg,
+                          ne_lang="zh", other_lang="en")
+
+
+def test_a_narrower_perfect_match_further_right_wins():
+    ne = per_span(0, "source", 0, 1, "波林")
+    for candidates, tokens, want in [([("bolin", 0.0)], ("bo", "lin", "qq", "bolin"), (3, 4)),
+                                     ([("bo lin", 0.0)], ("bo", "lin", "x", "bo", "lin"), (0, 2)),
+                                     ([("anna", 0.0)], ("an", "na", "anna", "anna"), (2, 3))]:
+        assert match_span(ne, candidates, tokens, CFG, ne_lang="zh",
+                          other_lang="en") == (*want, 1.0)
+
+
+def test_overlong_tokens_after_a_perfect_match_still_warn(caplog):
+    ne = per_span(2, "source", 0, 1, "波林")
+    candidates = [("bolin", 0.0), ("x" * 1025, -1.0)]
+    tokens = ("bolin", "said", "a" * 1020, "ß" * 1025, "today")
+    got = outcome(caplog, match_span, ne, candidates, tokens, CFG, ne_lang="zh", other_lang="en")
+    # all 12 ranges with the long candidate; with "bolin" the 5 through
+    # "ß" * 1025 and the 2 that join "said" to "a" * 1020
+    assert got == ((0, 1, 1.0), [
+        f"sentence 2: 19 comparison(s) for PER span '波林' exceed {simdist.MAX_CHARS} chars, "
+        "treated as no match"])
+    assert got == outcome(caplog, reference_match_span, ne, candidates, tokens, CFG,
+                          ne_lang="zh", other_lang="en")
+
+
+# tokens of a few letters, so that n-grams equal the candidates often
+PERFECT_TOKENS = st.sampled_from(["bo", "lin", "anna", "b", "zz", "qq", "a" * 1020])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), tokens=st.lists(PERFECT_TOKENS, min_size=1, max_size=8),
+       threshold=THRESHOLDS, max_ngram=st.integers(1, 4))
+def test_bounded_scan_equals_the_reference_loop_on_perfect_matches(caplog, data, tokens,
+                                                                   threshold, max_ngram):
+    # candidates are runs of the tokens, joined with or without spaces, so
+    # that most spans meet several perfect matches of different widths
+    run = st.integers(0, len(tokens) - 1).flatmap(
+        lambda i: st.integers(i + 1, min(i + 3, len(tokens))).map(lambda j: tokens[i:j]))
+    text = st.one_of(run.map(" ".join), run.map("".join),
+                     st.sampled_from(["bolin", "bo lin", "q", "x" * 1025]))
+    candidates = data.draw(st.lists(st.tuples(text, st.floats(-9.0, 0.0)),
+                                    min_size=1, max_size=4))
+    ne = per_span(1, "source", 0, 1, "波林")
+    cfg = AlignConfig(sim_threshold=threshold, max_ngram=max_ngram)
+    got = outcome(caplog, match_span, ne, candidates, tokens, cfg,
+                  ne_lang="zh", other_lang="en")
+    assert got == outcome(caplog, reference_match_span, ne, candidates, tokens, cfg,
+                          ne_lang="zh", other_lang="en")
+
+
+class CountingMasks(dict):
+    """A candidate pack's character masks that record every lookup."""
+
+    def __init__(self, masks):
+        super().__init__(masks)
+        self.looked_up = []
+
+    def get(self, key, default=None):
+        self.looked_up.append(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.looked_up.append(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.looked_up.append(key)
+        return super().__contains__(key)
+
+    def keys(self):
+        self.looked_up.append("keys()")
+        return super().keys()
+
+
+def test_nothing_after_a_one_token_perfect_match_is_looked_up():
+    ne = per_span(0, "source", 0, 1, "波林")
+    candidates = [("bolin", 0.0), ("berlin", -1.0), ("bo lin", -2.0)]
+    tokens = ("bolin", "met", "berlin", "bo", "lin", "zz")
+    memos = align._Memos(CFG.sim_threshold)
+    pack = align.pack_candidates(candidates, CFG.sim_threshold)
+    masks = CountingMasks(pack.masks)
+    memos.packs[tuple(candidates)] = pack._replace(masks=masks)
+    assert match_span(ne, candidates, tokens, CFG, ne_lang="zh", other_lang="en",
+                      memos=memos) == (0, 1, 1.0)
+    assert masks.looked_up == list("bolin")  # the first token's characters, once each
+    assert match_span(ne, candidates, tokens, CFG, ne_lang="zh",
+                      other_lang="en") == (0, 1, 1.0)
+
+
 def test_per_spans_make_no_similarity_calls(monkeypatch):
     calls = []
     similarity = simdist.similarity

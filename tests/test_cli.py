@@ -1,7 +1,13 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import netrans
 from netrans import core
 from netrans.cli import main
 from netrans.core import NeSpan, NeType
@@ -342,6 +348,25 @@ def test_restore_rejects_duplicate_symbol_rows(capsys, work):
     assert not out.exists()
 
 
+def test_restore_warns_about_entries_of_missing_sentences(work):
+    # run as a command, so that the warning is seen on the process's stderr
+    mt = work / "short_mt.en"
+    mt.write_text("PER1 arrived\n", encoding="utf-8")
+    symmap = work / "short_symbols.tsv"
+    symmap.write_text("0\tPER1\t安娜\tPER\tanna\n3\tPER1\t马克\tPER\tmake\n"
+                      "3\tNT1\t十月\tNT\n9\tLOC1\t巴林\tLOC\n", encoding="utf-8")
+    out = work / "short_restored.en"
+    env = dict(os.environ, PYTHONPATH=str(Path(netrans.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "netrans.cli", "restore", "--input", str(mt),
+                           "--symmap", str(symmap), "--src-lang", "zh", "--tgt-lang", "en",
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "unrealized\t4\n" in proc.stdout  # with no table, sentence 0's PER1 too
+    assert proc.stderr == ("WARNING netrans.pipeline: 3 symbol-map entries for 2 sentence id(s) "
+                           "the output does not have, counted as unrealized\n")
+    assert out.read_text(encoding="utf-8") == "PER1 arrived\n"
+
+
 def test_restore_decodes_each_surface_once(capsys, work, tiny_model, monkeypatch):
     from netrans.neural import beam
 
@@ -443,6 +468,26 @@ def test_replace_aborts_on_overlapping_alignment_rows_and_writes_nothing(capsys,
     assert rc == 2
     assert out == ""
     assert "sentence 0: overlapping source ranges [2, 5) and [4, 5)" in err
+    assert not any(path.exists() for path in outputs)
+
+
+def test_replace_rejects_rows_for_sentences_the_corpus_lacks_and_writes_nothing(capsys, work):
+    zh, en = work / "one.zh", work / "one.en"
+    zh.write_text("出口 增长 百分之四点二\n", encoding="utf-8")
+    en.write_text("exports grew 4.2%\n", encoding="utf-8")
+    rows = work / "unknown_sentence.tsv"
+    rows.write_text("0\t2\t3\t2\t3\tNT\t1.0\tboth\n7\t0\t1\t0\t1\tNT\t1.0\tboth\n"
+                    "9\t0\t1\t0\t1\tNT\t1.0\tboth\n", encoding="utf-8")
+    outputs = [work / "unknown.zh", work / "unknown.en", work / "unknown_symbols.tsv"]
+    rc, out, err = run(capsys, "replace", "--alignments", str(rows),
+                       "--src", str(zh), "--tgt", str(en),
+                       "--src-lang", "zh", "--tgt-lang", "en",
+                       "--out-src", str(outputs[0]), "--out-tgt", str(outputs[1]),
+                       "--out-symmap", str(outputs[2]))
+    assert rc == 2
+    assert out == ""
+    assert err == (f"error: {rows}: rows for 2 sentence id(s) the 1-pair corpus does not "
+                   "have, the first 7\n")
     assert not any(path.exists() for path in outputs)
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netrans.core import (
     NePair,
@@ -34,6 +36,22 @@ def test_sentence_rejects_whitespace_tokens():
         Sentence(("a b",), "en")
     with pytest.raises(ValueError):
         Sentence(("",), "en")
+
+
+# letters and a sample of what `str.split` takes for whitespace
+TOKEN_CHARS = "ab北" + " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u3000"
+
+
+@settings(max_examples=1000)
+@given(tokens=st.lists(st.one_of(st.text(TOKEN_CHARS, max_size=3), st.none()), max_size=5))
+def test_sentence_accepts_exactly_nonempty_tokens_without_whitespace(tokens):
+    bad = [tok for tok in tokens if not tok or tok.split() != [tok]]
+    if not bad:
+        assert Sentence(tokens, "en").tokens == tuple(tokens)
+        return
+    with pytest.raises(ValueError) as exc:
+        Sentence(tokens, "en")
+    assert str(exc.value) == f"token {bad[0]!r} is empty or contains whitespace"
 
 
 def test_sentence_text_joins_tokens():

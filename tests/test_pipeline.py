@@ -1,5 +1,7 @@
 """Placeholder rewriting, lexical tables, and restoration."""
 
+import logging
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -448,6 +450,30 @@ def test_restore_corpus_fails_on_the_first_missed_surface():
     with pytest.raises(RuntimeError, match="cannot decode 马克"):
         restore_corpus(sentences, symbol_map, table, translator, src_lang="zh", tgt_lang="en")
     assert translator.calls == ["马克"]
+
+
+def test_restore_corpus_counts_entries_of_missing_sentences_as_unrealized(caplog):
+    sentences = [Sentence(("PER1", "arrived"), "en")]
+    symbol_map = {0: [SymbolEntry(0, "PER1", "马克", NeType.PER),
+                      SymbolEntry(0, "PER2", "安娜", NeType.PER)],
+                  3: [SymbolEntry(3, "PER1", "波林", NeType.PER),
+                      SymbolEntry(3, "NT1", "十月", NeType.NT)],
+                  7: [SymbolEntry(7, "LOC1", "北京", NeType.LOC)]}
+    table = extract_lexical_table([NePair("马克", "mark", NeType.PER)])
+    with caplog.at_level(logging.WARNING, logger="netrans.pipeline"):
+        restored, report = restore_corpus(sentences, symbol_map, table,
+                                          src_lang="zh", tgt_lang="en")
+        assert [s.text() for s in restored] == ["mark arrived"]
+        # PER2 of sentence 0, and the three entries of sentences 3 and 7
+        assert vars(report) == {"from_table": 1, "from_model": 0, "from_rules": 0,
+                                "dropped": 0, "unrealized": 4}
+        assert [r.getMessage() for r in caplog.records] == [
+            "3 symbol-map entries for 2 sentence id(s) the output does not have, "
+            "counted as unrealized"]
+
+        caplog.clear()  # every id present: no warning
+        restore_corpus(sentences, {0: symbol_map[0]}, table, src_lang="zh", tgt_lang="en")
+        assert caplog.records == []
 
 
 def test_model_with_no_usable_candidate_leaves_the_symbol():
