@@ -17,12 +17,14 @@ far, and skips the ranges and readouts that cannot beat it.
 Names, numbers and words repeat across a corpus, so `align_corpus`
 recognizes every sentence, decodes each distinct surface of each direction
 once (`decode_once`, also used by `netrans restore`), then matches the
-sentences through one set of memos (`_Memos`): each distinct candidate list
-is packed once, each distinct token folded once, each distinct `(text,
-lang)` normalized to its digit skeleton once and each distinct pair of
-skeletons scored once, at first use. This is exact, for any job count: each
+sentences in-process through one set of memos (`_Memos`): each distinct
+candidate list is packed once, each distinct token folded once, each
+distinct `(text, lang)` normalized to its digit skeleton once and each
+distinct pair of skeletons scored once, at first use. This is exact: each
 memo is keyed by the whole input of a deterministic function, so one result
-serves every occurrence, and `pmap` returns results in input order.
+serves every occurrence. Only the decodes go to worker processes, and
+`pmap` returns them in input order, so the result is the same for any job
+count.
 """
 
 from __future__ import annotations
@@ -387,7 +389,9 @@ def _merge_directions(fwd: list[_Link], rev: list[_Link], sentence_id: int) -> l
 
 def decode_once(translator: Translator, surfaces: Sequence[str], jobs: int) -> Translator:
     """`translator` as a lookup over `surfaces`, called once per surface; jobs > 1
-    spreads the calls over processes, so the translator must then pickle."""
+    spreads the calls over processes, so the translator must then pickle.
+    This is the one fan-out of `align` and `restore`: matching and restoring
+    run in the calling process."""
     return dict(zip(surfaces, pmap(translator, surfaces, jobs))).__getitem__
 
 
@@ -423,10 +427,9 @@ class _Memos:
     lang)` and `nt_score` by `(wanted, skeleton)` pair.
 
     `pack_candidates` and the `numnorm` functions are looked up at each
-    computation, so a patched one is called. A memo fills at first use, in
-    the process that matches; an exception is not stored, so an over-long
-    skeleton comparison raises, and is warned about, at every span that
-    makes it.
+    computation, so a patched one is called. A memo fills at first use; an
+    exception is not stored, so an over-long skeleton comparison raises,
+    and is warned about, at every span that makes it.
     """
 
     def __init__(self, threshold: float):
@@ -434,12 +437,6 @@ class _Memos:
         self.fold = _Memo(simdist.fold)
         self.skeleton = _Memo(_skeleton)
         self.nt_score = _Memo(_skeleton_score)
-
-
-def _match_task(task, cfg: AlignConfig, s2t: Translator | None,
-                t2s: Translator | None, memos: _Memos) -> list[AlignedPair]:
-    pair, src_spans, tgt_spans = task
-    return align_sentence_pair(pair, src_spans, tgt_spans, cfg, s2t, t2s, memos=memos)
 
 
 def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
@@ -453,10 +450,12 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
     matches the sentences through one `_Memos`, dropped when the run
     returns. As each memo is keyed by the whole input of what it computes,
     the result is the same as aligning each sentence on its own, and errors
-    and warnings come at the same spans. jobs > 1 fans out the decodes,
-    then the sentences, to processes; each chunk of sentences a process is
-    sent fills memos of its own. Only the translators need to be picklable.
+    and warnings come at the same spans, logged in this process. jobs > 1
+    spreads only the decodes over processes, so only the translators need
+    to be picklable; the sentences are matched here.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     tasks = [(pair, recognizer.recognize(pair.src, pair.id, "source"),
               recognizer.recognize(pair.tgt, pair.id, "target")) for pair in corpus]
     missing = [(direction, side) for direction, translator, side in ((S2T, s2t, 1), (T2S, t2s, 2))
@@ -473,9 +472,9 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
                                  if s.ne_type is not NeType.NT)
         return decode_once(translator, list(surfaces), jobs)
 
-    match = partial(_match_task, cfg=cfg, s2t=decoded(s2t, S2T, 1), t2s=decoded(t2s, T2S, 2),
-                    memos=_Memos(cfg.sim_threshold))
-    per_sentence = pmap(match, tasks, jobs)
+    s2t, t2s = decoded(s2t, S2T, 1), decoded(t2s, T2S, 2)
+    memos = _Memos(cfg.sim_threshold)
+    per_sentence = [align_sentence_pair(*task, cfg, s2t, t2s, memos=memos) for task in tasks]
 
     alignments: list[AlignedPair] = []
     counts: dict[tuple[str, str, NeType], int] = {}

@@ -8,9 +8,10 @@ diagnostic tools. Exit codes: 0 success, 1 usage or configuration problem,
 
 Every subcommand accepts `--config FILE` with `key = value` lines (`#`
 comments); command-line flags override file values, unknown keys are
-rejected. All randomness flows from `--seed`. `--jobs` spreads over
-processes `align`'s decodes and then its sentences, `replace`'s sentences
-and `restore`'s model decode; outputs are byte-identical for any job count.
+rejected. All randomness flows from `--seed`. `--jobs` spreads the model
+decodes of `align` and `restore` over processes; matching, replacing and
+restoring run in one process. `replace` accepts `--jobs` for symmetry.
+Outputs are byte-identical for any job count.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .neural import ModelConfig, gradient_check, load_model, make_model, oriente
 from .neural import train as train_model
 from .neural import translate as beam_translate
 from .ner import AnnotationRecognizer, Gazetteer
-from .parallel import pmap
 
 log = logging.getLogger(__name__)
 
@@ -207,20 +207,11 @@ def cmd_align(args) -> int:
     return 0
 
 
-def _replace_pair_task(task):
-    pair, aligned = task
-    return pipeline.replace_training_pair(pair, aligned)
-
-
-def _replace_test_task(task, recognizer, vocab, oov_only):
-    sid, sentence = task
-    spans = recognizer.recognize(sentence, sid, core.SOURCE)
-    return pipeline.replace_test_sentence(sentence, spans, vocab, oov_only, sid)
-
-
 def cmd_replace(args) -> int:
     if bool(args.alignments) == bool(args.input):
         raise ConfigError("give --alignments (corpus mode) or --input (sentence mode)")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
 
     if args.alignments:
         _require(args, "src", "tgt", "src_lang", "tgt_lang", "out_src", "out_tgt", "out_symmap")
@@ -233,8 +224,8 @@ def cmd_replace(args) -> int:
             raise ContractError(f"{args.alignments}: rows for {len(unknown)} sentence id(s) "
                                 f"the {len(corpus)}-pair corpus does not have, the first "
                                 f"{unknown[0]}")
-        tasks = [(pair, by_sid.get(pair.id, [])) for pair in corpus]
-        results = pmap(_replace_pair_task, tasks, args.jobs)
+        results = [pipeline.replace_training_pair(pair, by_sid.get(pair.id, []))
+                   for pair in corpus]
         core.write_parallel_corpus([pair for pair, _ in results], args.out_src, args.out_tgt)
         entries = [e for _, group in results for e in group]
         pipeline.write_symbol_map(entries, args.out_symmap)
@@ -250,9 +241,9 @@ def cmd_replace(args) -> int:
     if args.vocab:
         vocab = {line.split()[0] for line in core._read_lines(args.vocab) if line.split()}
     sentences = _read_sentences(args.input, args.lang)
-    worker = partial(_replace_test_task, recognizer=recognizer, vocab=vocab,
-                     oov_only=args.oov_only)
-    results = pmap(worker, list(enumerate(sentences)), args.jobs)
+    results = [pipeline.replace_test_sentence(s, recognizer.recognize(s, sid, core.SOURCE),
+                                              vocab, args.oov_only, sid)
+               for sid, s in enumerate(sentences)]
     _write_rows(args.out, [sentence.text() for sentence, _ in results])
     entries = [e for _, group in results for e in group]
     pipeline.write_symbol_map(entries, args.out_symmap)
@@ -441,7 +432,7 @@ def _build() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--beam", type=int, default=5)
     p.add_argument("--directions", choices=list(align.DIRECTIONS), default=align.BOTH)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the decodes, then for the sentences")
+                   help="worker processes for the model decodes")
     p.add_argument("--out-alignments")
     p.add_argument("--out-pairs")
 
@@ -462,7 +453,8 @@ def _build() -> tuple[_Parser, dict[str, _Parser]]:
                    help="only replace spans containing tokens not in --vocab")
     p.add_argument("--out")
     p.add_argument("--out-symmap")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the sentences")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for symmetry; replace runs in one process")
 
     p = sub("extract-lex", cmd_extract_lex, "build a lexical table from pair TSV")
     p.add_argument("--pairs")

@@ -18,7 +18,9 @@ def pmap(func: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
     count. func and the items go to the workers pickled; with jobs == 1, or
     fewer than two items, they are mapped in-process and need not pickle.
     No more workers start than there are items: the pool forks all of them
-    at the first submit, whether they get work or not.
+    at the first submit, whether they get work or not. Its one caller is
+    `align.decode_once`, which spreads the model decodes of `align` and
+    `restore`.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")

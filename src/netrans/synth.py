@@ -139,6 +139,11 @@ def make_corpus(n_pairs: int = 50, n_sentences: int = 200, seed: int = 42,
     """
     if n_pairs < 3:
         raise ConfigError("need at least one pair per entity type")
+    for name, rate in (("noise", noise), ("oneside_drop", oneside_drop)):
+        if not 0.0 <= rate <= 1.0:
+            raise ConfigError(f"{name} must lie in [0, 1], got {rate}")
+    if extra_train < 0:
+        raise ConfigError(f"extra_train must be >= 0, got {extra_train}")
     rng = random.Random(seed)
 
     n_nt = max(1, round(n_pairs * 0.16))

@@ -610,6 +610,64 @@ def test_align_corpus_is_job_count_invariant():
         align_corpus(small_corpus(), TwoSentenceRecognizer(), CFG, s2t, t2s, jobs=0)
 
 
+def test_align_corpus_checks_jobs_before_recognizing():
+    # NT spans need no translator and so no decode: the check cannot be left to it
+    corpus = [pair(0, ["十月", "五", "日"], ["october", "5"])]
+    annotated = AnnotationRecognizer([NeSpan(0, "source", 0, 3, NeType.NT),
+                                      NeSpan(0, "target", 0, 2, NeType.NT)])
+    seen = []
+
+    def recognize(sentence, sentence_id, side):
+        seen.append(side)
+        return annotated.recognize(sentence, sentence_id, side)
+
+    recognizer = SimpleNamespace(recognize=recognize)
+    assert len(align_corpus(corpus, recognizer, CFG)[0]) == 1
+    seen.clear()
+    with pytest.raises(ConfigError, match="^jobs must be >= 1, got 0$"):
+        align_corpus(corpus, recognizer, CFG, jobs=0)
+    assert seen == []
+
+
+def test_align_corpus_sends_only_the_decodes_to_pmap(monkeypatch):
+    synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.0)
+    recognizer = AnnotationRecognizer(synthetic.annotations)
+    s2t = DictTranslator({p.src: [(p.tgt, 0.0)] for p in synthetic.train_pairs})
+    t2s = DictTranslator({p.tgt: [(p.src, 0.0)] for p in synthetic.train_pairs})
+    want = align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=1)
+    calls = []
+    fan_out = align.pmap
+
+    def recording(func, items, jobs):
+        calls.append((func, list(items), jobs))
+        return fan_out(func, items, jobs)
+
+    monkeypatch.setattr(align, "pmap", recording)
+    assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=2) == want
+    surfaces = {"source": {}, "target": {}}
+    for p in synthetic.corpus:
+        for side, sentence in (("source", p.src), ("target", p.tgt)):
+            surfaces[side].update(dict.fromkeys(
+                s.surface for s in recognizer.recognize(sentence, p.id, side)
+                if s.ne_type is not NeType.NT))
+    assert calls == [(s2t, list(surfaces["source"]), 2), (t2s, list(surfaces["target"]), 2)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_overlong_warnings_reach_the_caller_at_any_job_count(caplog, jobs):
+    # one over-long target token in each of 8 sentences: every warning is
+    # logged in this process, in corpus order
+    corpus = [pair(i, ["波林", "说"], ["bolin", "x" * (1100 + i), "said"]) for i in range(8)]
+    recognizer = AnnotationRecognizer([per_span(i, "source", 0, 1, "波林") for i in range(8)])
+    s2t = DictTranslator({"波林": [("bolin", 0.0)]})
+    alignments, warnings = outcome(
+        caplog, lambda: align_corpus(corpus, recognizer, CFG, s2t, None, jobs=jobs)[0])
+    assert [(a.sentence_id, a.src_start, a.tgt_start) for a in alignments] == [
+        (i, 0, 0) for i in range(8)]
+    assert warnings == [f"sentence {i}: 4 comparison(s) for PER span '波林' exceed "
+                        f"{simdist.MAX_CHARS} chars, treated as no match" for i in range(8)]
+
+
 def test_align_corpus_decodes_each_surface_once_per_direction(tmp_path):
     synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.0,
                                   oneside_drop=0.2)
@@ -705,9 +763,9 @@ def test_align_corpus_normalizes_each_nt_text_once(monkeypatch):
     assert got[0] == want
     assert Counter(calls) == Counter(set(per_span_calls))
 
-    calls.clear()  # at jobs=2 the workers normalize, none in this process
+    calls.clear()  # at jobs=2 too, as matching runs in this process
     assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=2) == got
-    assert calls == []
+    assert Counter(calls) == Counter(set(per_span_calls))
 
 
 def test_align_corpus_packs_each_candidate_list_once(monkeypatch):
@@ -743,9 +801,9 @@ def test_align_corpus_packs_each_candidate_list_once(monkeypatch):
     assert len(set(lists)) < len(set(spans)) < len(spans)
     assert built == list(dict.fromkeys(lists))
 
-    built.clear()  # at jobs=2 the workers build the packs, none in this process
+    built.clear()  # at jobs=2 too, as matching runs in this process
     assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=2)[0] == want
-    assert built == []
+    assert built == list(dict.fromkeys(lists))
 
 
 def test_align_corpus_scores_each_skeleton_pair_once(monkeypatch):

@@ -406,14 +406,13 @@ def test_restore_sends_only_the_model_decode_to_workers(capsys, work, tiny_model
     from netrans import cli
 
     calls = []
-    fan_out = cli.pmap
+    fan_out = cli.align.pmap
 
     def recording(fn, items, jobs, *args, **kwargs):
         calls.append((fn, list(items), jobs))
         return fan_out(fn, items, jobs, *args, **kwargs)
 
     # the model decode fans out through align.decode_once
-    monkeypatch.setattr(cli, "pmap", recording)
     monkeypatch.setattr(cli.align, "pmap", recording)
     mt = work / "jobs_mt.en"
     mt.write_text("PER1 arrived\nPER1 left PER2\nwe met PER1 on NT1\n", encoding="utf-8")
@@ -605,6 +604,19 @@ def test_synth_writes_the_five_files(capsys, work):
         assert (out_dir / name).is_file(), name
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--noise", "5"), ("--noise", "-1"), ("--oneside-drop", "2"), ("--oneside-drop", "-0.5"),
+    ("--extra-train", "-3"),
+])
+def test_synth_rejects_out_of_range_settings(capsys, work, flag, value):
+    out_dir = work / f"synth_bad{flag}{value}"
+    rc, out, err = run(capsys, "synth", "--out-dir", str(out_dir), "--pairs", "6",
+                       "--sentences", "30", flag, value)
+    assert rc == 1
+    assert flag[2:].replace("-", "_") in err and out == ""
+    assert not out_dir.exists()
+
+
 def test_synth_is_deterministic_across_runs(work):
     dirs = [work / "synth_a", work / "synth_b"]
     for d in dirs:
@@ -634,6 +646,37 @@ def test_replace_output_is_independent_of_jobs(work, nt_corpus, aligned_nt):
         assert rc == 0
         outputs.append((out_src.read_bytes(), out_tgt.read_bytes(), symmap.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_replace_starts_no_worker_process(work, nt_corpus, aligned_nt, monkeypatch):
+    import netrans.parallel
+
+    zh, en, ann = nt_corpus
+    alignments, _ = aligned_nt
+
+    def replace(mode, jobs):
+        """The output files of one `replace` run, read back."""
+        out = [work / f"np_{mode}_{jobs}.{ext}" for ext in ("zh", "en", "tsv")]
+        argv = {
+            "corpus": ["--alignments", str(alignments), "--src", str(zh), "--tgt", str(en),
+                       "--src-lang", "zh", "--tgt-lang", "en",
+                       "--out-src", str(out[0]), "--out-tgt", str(out[1])],
+            "sentence": ["--input", str(zh), "--lang", "zh", "--annotations", str(ann),
+                         "--out", str(out[0])],
+        }[mode]
+        assert main(["replace", *argv, "--out-symmap", str(out[2]), "--jobs", jobs]) == 0
+        return [f.read_bytes() for f in out if f.exists()]
+
+    sequential = {mode: replace(mode, "1") for mode in ("corpus", "sentence")}
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("replace started a process pool")
+
+    monkeypatch.setattr(netrans.parallel, "ProcessPoolExecutor", no_pool)
+    for mode, files in sequential.items():
+        assert len(files) == (3 if mode == "corpus" else 2)
+        assert b"NT" in files[-1]  # symbols were written
+        assert replace(mode, "2") == files
 
 
 def restore_inputs(work):
