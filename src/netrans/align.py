@@ -35,8 +35,8 @@ from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from . import numnorm, simdist
-from .core import NePair, NeSpan, NeType, SentencePair, _read_lines
-from .errors import ConfigError, ContractError, LengthLimitError, ParseError
+from .core import NePair, NeSpan, NeType, SentencePair, read_rows, write_lines
+from .errors import ConfigError, ContractError, LengthLimitError
 from .ner import Recognizer
 from .parallel import pmap
 
@@ -520,32 +520,23 @@ class ModelTranslator:
 
 
 def write_alignments(alignments: Sequence[AlignedPair], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in alignments:
-            fh.write(f"{a.sentence_id}\t{a.src_start}\t{a.src_end}"
-                     f"\t{a.tgt_start}\t{a.tgt_end}\t{a.ne_type.value}"
-                     f"\t{a.score:.6f}\t{a.direction}\n")
+    write_lines(path, (f"{a.sentence_id}\t{a.src_start}\t{a.src_end}"
+                       f"\t{a.tgt_start}\t{a.tgt_end}\t{a.ne_type.value}"
+                       f"\t{a.score:.6f}\t{a.direction}" for a in alignments))
+
+
+def _alignment_row(cols: list[str]) -> AlignedPair:
+    if cols[7] not in DIRECTIONS:
+        raise ValueError(f"unknown direction {cols[7]!r}")
+    row = AlignedPair(int(cols[0]), int(cols[1]), int(cols[2]),
+                      int(cols[3]), int(cols[4]), NeType.parse(cols[5]),
+                      float(cols[6]), cols[7])
+    for side, start, end in (("source", row.src_start, row.src_end),
+                             ("target", row.tgt_start, row.tgt_end)):
+        if start < 0 or start >= end:
+            raise ValueError(f"empty or negative {side} range [{start}, {end})")
+    return row
 
 
 def read_alignments(path) -> list[AlignedPair]:
-    out = []
-    for i, line in enumerate(_read_lines(path)):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 8:
-            raise ParseError(f"expected 8 tab-separated columns, got {len(cols)}", path, i + 1)
-        try:
-            if cols[7] not in DIRECTIONS:
-                raise ValueError(f"unknown direction {cols[7]!r}")
-            row = AlignedPair(int(cols[0]), int(cols[1]), int(cols[2]),
-                              int(cols[3]), int(cols[4]), NeType.parse(cols[5]),
-                              float(cols[6]), cols[7])
-            for side, start, end in (("source", row.src_start, row.src_end),
-                                     ("target", row.tgt_start, row.tgt_end)):
-                if start < 0 or start >= end:
-                    raise ValueError(f"empty or negative {side} range [{start}, {end})")
-            out.append(row)
-        except ValueError as exc:
-            raise ParseError(str(exc), path, i + 1) from None
-    return out
+    return read_rows(path, (8,), _alignment_row)

@@ -22,7 +22,7 @@ import sys
 from functools import partial
 
 from . import __version__, align, core, numnorm, pipeline, simdist, synth
-from .core import NeType, Sentence
+from .core import NeType
 from .errors import ConfigError, ContractError, CorpusError, DataError, DivergenceError
 from .neural import ModelConfig, gradient_check, load_model, make_model, oriented, save_model
 from .neural import train as train_model
@@ -39,30 +39,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _open_out(path):
-    if path:
-        return open(path, "w", encoding="utf-8")
-    return sys.stdout
-
-
 def _write_rows(path, rows) -> None:
-    fh = _open_out(path)
-    try:
-        for row in rows:
-            fh.write(row + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-
-
-def _read_sentences(path, lang: str) -> list[Sentence]:
-    sentences = []
-    for i, line in enumerate(core._read_lines(path)):
-        tokens = line.split()
-        if not tokens:
-            raise CorpusError(f"{path}: empty line {i + 1}")
-        sentences.append(Sentence(tuple(tokens), lang))
-    return sentences
+    if path:
+        core.write_lines(path, rows)
+    else:
+        sys.stdout.writelines(row + "\n" for row in rows)
 
 
 def _require(args, *names) -> None:
@@ -119,7 +100,7 @@ def cmd_translate_ne(args) -> int:
         raise ConfigError(f"--k must be between 1 and --beam ({args.beam}), got {args.k}")
     model = load_model(args.model)
     rows = []
-    for i, line in enumerate(core._read_lines(args.input)):
+    for i, line in enumerate(core.read_lines(args.input)):
         text = line.strip()
         if not text:
             raise CorpusError(f"{args.input}: empty line {i + 1}")
@@ -239,8 +220,8 @@ def cmd_replace(args) -> int:
     recognizer = _make_recognizer(args)
     vocab = None
     if args.vocab:
-        vocab = {line.split()[0] for line in core._read_lines(args.vocab) if line.split()}
-    sentences = _read_sentences(args.input, args.lang)
+        vocab = {line.split()[0] for line in core.read_lines(args.vocab) if line.split()}
+    sentences = core.read_sentences(args.input, args.lang)
     results = [pipeline.replace_test_sentence(s, recognizer.recognize(s, sid, core.SOURCE),
                                               vocab, args.oov_only, sid)
                for sid, s in enumerate(sentences)]
@@ -267,7 +248,7 @@ def cmd_restore(args) -> int:
             raise ConfigError(f"--{name} must be >= 1, got {getattr(args, name)}")
     symbol_map = pipeline.read_symbol_map(args.symmap)
     table = pipeline.LexicalTable.read(args.lex) if args.lex else pipeline.LexicalTable()
-    sentences = _read_sentences(args.input, args.tgt_lang)
+    sentences = core.read_sentences(args.input, args.tgt_lang)
     translator = align.ModelTranslator(args.model, args.beam) if args.model else None
     restored, totals = pipeline.restore_corpus(sentences, symbol_map, table, translator,
                                                jobs=args.jobs, src_lang=args.src_lang,
@@ -494,7 +475,7 @@ def _build() -> tuple[_Parser, dict[str, _Parser]]:
 
 def _read_config_file(path) -> dict[str, str]:
     values = {}
-    for i, line in enumerate(core._read_lines(path)):
+    for i, line in enumerate(core.read_lines(path)):
         text = line.strip()
         if not text or text.startswith("#"):
             continue

@@ -1,8 +1,16 @@
 """Shared domain types and the plain-text file formats of the toolkit.
 
 Conventions: sentences are pre-tokenized, tokens are whitespace-separated,
-files are UTF-8 (a leading BOM is stripped), and one Unicode scalar value
-counts as one character everywhere.  Combining-mark clusters are not joined.
+and one Unicode scalar value counts as one character everywhere.
+Combining-mark clusters are not joined.
+
+This module owns the line format of every file: `read_lines` and
+`read_rows` read UTF-8 (a leading BOM is stripped) and `write_lines`
+writes it.  A tab-separated file is one record per line; blank lines are
+skipped, `#` lines too where a reader asks for comments, and a line with a
+wrong column count or a malformed field is a ParseError naming the file
+and line.  The other modules' readers and writers keep only their record
+fields and checks.
 """
 
 from __future__ import annotations
@@ -11,11 +19,13 @@ import logging
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import AnnotationError, CorpusError, ParseError
 
 log = logging.getLogger(__name__)
+
+R = TypeVar("R")
 
 SOURCE = "source"
 TARGET = "target"
@@ -141,63 +151,81 @@ class NePair:
             raise ValueError(f"count must be >= 1, got {self.count}")
 
 
-def _read_lines(path) -> list[str]:
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, a leading BOM stripped."""
     return Path(path).read_text(encoding="utf-8-sig").splitlines()
+
+
+def read_rows(path, widths: tuple[int, ...], parse: Callable[[list[str]], R | None], *,
+              comments: bool = False) -> list[R]:
+    """`parse(cols)` for each tab-separated line of `path` with a column count
+    in `widths`, in file order; a None from `parse` leaves its line out.
+    Blank lines are skipped, and `#` lines when `comments` is set.  Any
+    other column count, or a ValueError from `parse`, is a ParseError at
+    the file and line."""
+    rows = []
+    for i, line in enumerate(read_lines(path), 1):
+        if not line.strip() or (comments and line.startswith("#")):
+            continue
+        cols = line.split("\t")
+        if len(cols) not in widths:
+            expected = " or ".join(map(str, widths))
+            raise ParseError(f"expected {expected} tab-separated columns, got {len(cols)}", path, i)
+        try:
+            row = parse(cols)
+        except ValueError as exc:
+            raise ParseError(str(exc), path, i) from None
+        if row is not None:
+            rows.append(row)
+    return rows
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each line and a newline to `path` as UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def _sentence(line: str, lang: str, path, lineno: int) -> Sentence:
+    tokens = line.split()
+    if not tokens:
+        raise CorpusError(f"{path}: empty line {lineno}")
+    return Sentence(tuple(tokens), lang)
+
+
+def read_sentences(path, lang: str) -> list[Sentence]:
+    """One tokenized sentence per line; an empty line is a CorpusError."""
+    return [_sentence(line, lang, path, i) for i, line in enumerate(read_lines(path), 1)]
 
 
 def read_parallel_corpus(src_path, tgt_path, src_lang: str, tgt_lang: str) -> list[SentencePair]:
     """Read two line-aligned token files into sentence pairs."""
-    src_lines = _read_lines(src_path)
-    tgt_lines = _read_lines(tgt_path)
+    src_lines = read_lines(src_path)
+    tgt_lines = read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise CorpusError(
             f"line count mismatch: {src_path} has {len(src_lines)} lines, "
             f"{tgt_path} has {len(tgt_lines)}"
         )
-    pairs = []
-    for i, (ls, lt) in enumerate(zip(src_lines, tgt_lines)):
-        src_tokens = ls.split()
-        tgt_tokens = lt.split()
-        if not src_tokens:
-            raise CorpusError(f"{src_path}: empty line {i + 1}")
-        if not tgt_tokens:
-            raise CorpusError(f"{tgt_path}: empty line {i + 1}")
-        pairs.append(
-            SentencePair(Sentence(tuple(src_tokens), src_lang), Sentence(tuple(tgt_tokens), tgt_lang), i)
-        )
-    return pairs
+    return [SentencePair(_sentence(ls, src_lang, src_path, i + 1),
+                         _sentence(lt, tgt_lang, tgt_path, i + 1), i)
+            for i, (ls, lt) in enumerate(zip(src_lines, tgt_lines))]
 
 
 def write_parallel_corpus(pairs: Sequence[SentencePair], src_path, tgt_path) -> None:
-    with open(src_path, "w", encoding="utf-8") as fs, open(tgt_path, "w", encoding="utf-8") as ft:
-        for pair in pairs:
-            fs.write(pair.src.text() + "\n")
-            ft.write(pair.tgt.text() + "\n")
+    write_lines(src_path, (pair.src.text() for pair in pairs))
+    write_lines(tgt_path, (pair.tgt.text() for pair in pairs))
 
 
 def read_ne_pairs(path) -> list[NePair]:
     """Read a TSV entity-pair list: src<TAB>tgt<TAB>type[<TAB>count]."""
-    pairs = []
-    for i, line in enumerate(_read_lines(path)):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) < 3:
-            raise ParseError(f"expected at least 3 tab-separated columns, got {len(cols)}", path, i + 1)
-        src, tgt, type_text = cols[0], cols[1], cols[2]
-        try:
-            ne_type = NeType.parse(type_text)
-            count = int(cols[3]) if len(cols) > 3 else 1
-            pairs.append(NePair(src, tgt, ne_type, count))
-        except ValueError as exc:
-            raise ParseError(str(exc), path, i + 1) from None
-    return pairs
+    return read_rows(path, (3, 4), lambda cols: NePair(
+        cols[0], cols[1], NeType.parse(cols[2]), int(cols[3]) if len(cols) == 4 else 1))
 
 
 def write_ne_pairs(pairs: Iterable[NePair], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(f"{p.src}\t{p.tgt}\t{p.ne_type.value}\t{p.count}\n")
+    write_lines(path, (f"{p.src}\t{p.tgt}\t{p.ne_type.value}\t{p.count}" for p in pairs))
 
 
 def read_annotations(path) -> list[NeSpan]:
@@ -207,35 +235,27 @@ def read_annotations(path) -> list[NeSpan]:
     type is a parse error.  Bounds against the corpus are checked later,
     when spans are replayed against their sentences.
     """
-    spans = []
     dropped_org = 0
-    for i, line in enumerate(_read_lines(path)):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 5:
-            raise ParseError(f"expected 5 tab-separated columns, got {len(cols)}", path, i + 1)
+
+    def parse(cols: list[str]) -> NeSpan | None:
+        nonlocal dropped_org
         sid_text, side, start_text, end_text, type_text = cols
         if type_text.strip().upper() == "ORG":
             dropped_org += 1
-            continue
+            return None
         try:
-            sid = int(sid_text)
-            start = int(start_text)
-            end = int(end_text)
+            sid, start, end = int(sid_text), int(start_text), int(end_text)
         except ValueError:
-            raise ParseError(f"malformed integer in {line!r}", path, i + 1) from None
-        try:
-            span = NeSpan(sid, side, start, end, NeType.parse(type_text))
-        except ValueError as exc:
-            raise ParseError(str(exc), path, i + 1) from None
-        spans.append(span)
+            line = "\t".join(cols)
+            raise ValueError(f"malformed integer in {line!r}") from None
+        return NeSpan(sid, side, start, end, NeType.parse(type_text))
+
+    spans = read_rows(path, (5,), parse)
     if dropped_org:
         log.warning("%s: dropped %d ORG span(s)", path, dropped_org)
     return spans
 
 
 def write_annotations(spans: Iterable[NeSpan], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in spans:
-            fh.write(f"{s.sentence_id}\t{s.side}\t{s.start}\t{s.end}\t{s.ne_type.value}\n")
+    write_lines(path, (f"{s.sentence_id}\t{s.side}\t{s.start}\t{s.end}\t{s.ne_type.value}"
+                       for s in spans))

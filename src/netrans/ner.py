@@ -11,8 +11,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
-from .core import NeSpan, NeType, Sentence, _read_lines
-from .errors import AnnotationError, ParseError
+from .core import NeSpan, NeType, Sentence, read_rows
+from .errors import AnnotationError
 from .numnorm import RuleTable, default_rules, month_number, normalize_numeric
 
 log = logging.getLogger(__name__)
@@ -58,26 +58,21 @@ class Gazetteer:
     def from_path(cls, path) -> "Gazetteer":
         entries: dict[tuple[str, ...], NeType] = {}
         dropped_org = 0
-        for i, line in enumerate(_read_lines(path)):
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ParseError(f"expected 2 tab-separated columns, got {len(cols)}", path, i + 1)
+
+        def add(cols: list[str]) -> None:
+            nonlocal dropped_org
             surface, type_text = cols
             if type_text.strip().upper() == "ORG":
                 dropped_org += 1
-                continue
+                return
             key = tuple(surface.split())
             if not key:
-                raise ParseError("empty gazetteer surface", path, i + 1)
-            try:
-                ne_type = NeType.parse(type_text)
-            except ValueError as exc:
-                raise ParseError(str(exc), path, i + 1) from None
-            if entries.get(key, ne_type) != ne_type:
-                raise ParseError(f"conflicting types for {surface!r}", path, i + 1)
-            entries[key] = ne_type
+                raise ValueError("empty gazetteer surface")
+            ne_type = NeType.parse(type_text)
+            if entries.setdefault(key, ne_type) != ne_type:
+                raise ValueError(f"conflicting types for {surface!r}")
+
+        read_rows(path, (2,), add)
         if dropped_org:
             log.warning("%s: dropped %d ORG entr(ies)", path, dropped_org)
         return cls(entries)

@@ -19,10 +19,9 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 from . import simdist
-from .errors import ParseError
+from .core import read_rows
 
 DIGITS = "123456789"
 
@@ -83,17 +82,12 @@ class RuleTable:
 
     @classmethod
     def from_path(cls, path) -> "RuleTable":
-        rows = []
-        for i, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines()):
-            if not line.strip() or line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise ParseError(f"expected 3 tab-separated columns, got {len(cols)}", path, i + 1)
+        def rule(cols: list[str]) -> tuple[str, str, str]:
             if not cols[0]:
-                raise ParseError("empty pattern", path, i + 1)
-            rows.append((cols[0], cols[1], cols[2]))
-        return cls.from_rows(rows)
+                raise ValueError("empty pattern")
+            return cols[0], cols[1], cols[2]
+
+        return cls.from_rows(read_rows(path, (3,), rule, comments=True))
 
     def patterns_for(self, lang: str) -> tuple[tuple[str, str], ...]:
         specific = self.rules.get(lang, ())

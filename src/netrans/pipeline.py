@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .align import AlignedPair, decode_once
-from .core import NePair, NeSpan, NeType, Sentence, SentencePair, _read_lines
-from .errors import ContractError, ParseError
+from .core import NePair, NeSpan, NeType, Sentence, SentencePair, read_rows, write_lines
+from .errors import ConfigError, ContractError
 from .numnorm import month_name, month_number
 
 log = logging.getLogger(__name__)
@@ -195,25 +195,13 @@ class LexicalTable:
         return len(self.entries)
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for src in sorted(self.entries):
-                for tgt, count in self.entries[src]:
-                    fh.write(f"{src}\t{tgt}\t{count}\n")
+        write_lines(path, (f"{src}\t{tgt}\t{count}"
+                           for src in sorted(self.entries) for tgt, count in self.entries[src]))
 
     @classmethod
     def read(cls, path) -> "LexicalTable":
-        pairs = []
-        for i, line in enumerate(_read_lines(path)):
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise ParseError(f"expected 3 tab-separated columns, got {len(cols)}", path, i + 1)
-            try:
-                pairs.append(NePair(cols[0], cols[1], NeType.PER, int(cols[2])))
-            except ValueError as exc:
-                raise ParseError(str(exc), path, i + 1) from None
-        return cls.from_pairs(pairs)
+        return cls.from_pairs(read_rows(path, (3,), lambda cols: NePair(
+            cols[0], cols[1], NeType.PER, int(cols[2]))))
 
 
 def extract_lexical_table(pairs: Iterable[NePair]) -> LexicalTable:
@@ -299,6 +287,8 @@ def restore_corpus(sentences: Sequence[Sentence], symbol_map: dict[int, Sequence
     these surfaces, so a raising translator still fails on the first one in
     corpus order.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if translator is not None:
         surfaces: dict[str, None] = {}
         for sid, sentence in enumerate(sentences):
@@ -347,32 +337,23 @@ def _realize(entry: SymbolEntry, table: LexicalTable, translator,
 
 
 def write_symbol_map(entries: Sequence[SymbolEntry], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in entries:
-            line = f"{e.sentence_id}\t{e.symbol}\t{e.surface}\t{e.ne_type.value}"
-            if e.translation:
-                line += f"\t{e.translation}"
-            fh.write(line + "\n")
+    write_lines(path, (f"{e.sentence_id}\t{e.symbol}\t{e.surface}\t{e.ne_type.value}"
+                       + (f"\t{e.translation}" if e.translation else "") for e in entries))
 
 
 def read_symbol_map(path) -> dict[int, list[SymbolEntry]]:
     by_sentence: dict[int, list[SymbolEntry]] = {}
-    for i, line in enumerate(_read_lines(path)):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) not in (4, 5):
-            raise ParseError(f"expected 4 or 5 tab-separated columns, got {len(cols)}", path, i + 1)
-        try:
-            entry = SymbolEntry(int(cols[0]), cols[1], cols[2], NeType.parse(cols[3]),
-                                cols[4] if len(cols) == 5 else "")
-        except ValueError as exc:
-            raise ParseError(str(exc), path, i + 1) from None
+
+    def add(cols: list[str]) -> None:
+        entry = SymbolEntry(int(cols[0]), cols[1], cols[2], NeType.parse(cols[3]),
+                            cols[4] if len(cols) == 5 else "")
         if not PLACEHOLDER_RE.match(entry.symbol):
-            raise ParseError(f"malformed symbol {entry.symbol!r}", path, i + 1)
+            raise ValueError(f"malformed symbol {entry.symbol!r}")
         entries = by_sentence.setdefault(entry.sentence_id, [])
         if any(e.symbol == entry.symbol for e in entries):
-            raise ParseError(f"duplicate symbol {entry.symbol!r} for sentence "
-                             f"{entry.sentence_id}", path, i + 1)
+            raise ValueError(f"duplicate symbol {entry.symbol!r} for sentence "
+                             f"{entry.sentence_id}")
         entries.append(entry)
+
+    read_rows(path, (4, 5), add)
     return by_sentence

@@ -103,13 +103,41 @@ def test_missing_file_exits_1(capsys):
     assert "error:" in err
 
 
-def test_malformed_data_exits_2(capsys, work):
-    bad = work / "bad_pairs.tsv"
-    bad.write_text("only-one-column\n", encoding="utf-8")
-    rc, _, err = run(capsys, "extract-lex", "--pairs", str(bad), "--out",
-                     str(work / "lex_unused.tsv"))
+# flag -> a good line and a line with a wrong column count, for each file a command reads
+MALFORMED = {
+    "pairs": ("巴林\tbalin\tLOC", "only-one-column"),
+    "annotations": ("0\tsource\t2\t5\tNT", "0\tsource\t2\t5"),
+    "gazetteer": ("巴林\tLOC", "巴林\tLOC\textra"),
+    "alignments": ("0\t2\t5\t5\t7\tNT\t1.0\tboth", "0\t2\t5\t5\t7\tNT\t1.0"),
+    "symmap": ("0\tNT1\t十月\tNT", "0\tNT1"),
+    "lex": ("巴林\tbalin\t1", "巴林\tbalin"),
+}
+
+
+@pytest.mark.parametrize("flag", MALFORMED)
+def test_malformed_data_exits_2(capsys, work, nt_corpus, flag):
+    zh, en, _ = nt_corpus
+    bad = work / f"malformed_{flag}.tsv"
+    bad.write_text("\n".join(MALFORMED[flag]) + "\n", encoding="utf-8")
+    symmap = work / "malformed_ok_symbols.tsv"
+    symmap.write_text(MALFORMED["symmap"][0] + "\n", encoding="utf-8")
+    out = [str(work / f"malformed_unused.{i}") for i in range(3)]
+    corpus = ["--src", str(zh), "--tgt", str(en), "--src-lang", "zh", "--tgt-lang", "en"]
+    align = ["align", *corpus, "--out-alignments", out[0], "--out-pairs", out[1]]
+    restore = ["restore", "--input", str(en), "--src-lang", "zh", "--tgt-lang", "en",
+               "--out", out[0]]
+    argv = {
+        "pairs": ["extract-lex", "--pairs", str(bad), "--out", out[0]],
+        "annotations": [*align, "--annotations", str(bad)],
+        "gazetteer": [*align, "--gazetteer", str(bad)],
+        "alignments": ["replace", "--alignments", str(bad), *corpus, "--out-src", out[0],
+                       "--out-tgt", out[1], "--out-symmap", out[2]],
+        "symmap": [*restore, "--symmap", str(bad)],
+        "lex": [*restore, "--symmap", str(symmap), "--lex", str(bad)],
+    }[flag]
+    rc, _, err = run(capsys, *argv)
     assert rc == 2
-    assert "error:" in err
+    assert err.startswith(f"error: {bad}:2: expected ")
 
 
 # -- diagnostics ----------------------------------------------------------------

@@ -1,8 +1,14 @@
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netrans.align import DIRECTIONS, AlignedPair, read_alignments, write_alignments
 from netrans.core import (
+    SIDES,
     NePair,
     NeSpan,
     NeType,
@@ -11,11 +17,13 @@ from netrans.core import (
     read_annotations,
     read_ne_pairs,
     read_parallel_corpus,
+    read_rows,
     write_annotations,
     write_ne_pairs,
     write_parallel_corpus,
 )
 from netrans.errors import AnnotationError, CorpusError, ParseError
+from netrans.pipeline import LexicalTable, SymbolEntry, read_symbol_map, write_symbol_map
 
 
 def test_ne_type_parse_is_case_insensitive():
@@ -141,6 +149,10 @@ def test_ne_pairs_parse_errors_name_path_and_line(tmp_path):
     path.write_text("a\tb\tORG\n", encoding="utf-8")
     with pytest.raises(ParseError, match="ORG"):
         read_ne_pairs(path)
+    path.write_text("安娜\tanna\tPER\t2\tjunk\textra\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_ne_pairs(path)
+    assert str(err.value) == f"{path}:1: expected 3 or 4 tab-separated columns, got 6"
 
 
 def test_annotations_round_trip(tmp_path):
@@ -167,3 +179,82 @@ def test_annotations_reject_malformed_rows(tmp_path):
     path.write_text("0\tsource\t0\t1\n", encoding="utf-8")
     with pytest.raises(ParseError, match="5 tab-separated"):
         read_annotations(path)
+
+
+
+def test_read_rows_strips_a_bom_and_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("\ufeffa\tb\n \n#c\td\ne\tf\n", encoding="utf-8")
+    assert read_rows(path, (2,), tuple) == [("a", "b"), ("#c", "d"), ("e", "f")]
+    assert read_rows(path, (2,), tuple, comments=True) == [("a", "b"), ("e", "f")]
+    assert read_rows(path, (2,), lambda cols: None if cols[0] == "a" else cols[1]) == ["d", "f"]
+
+    def no_e(cols):
+        if cols[0] == "e":
+            raise ValueError("no e")
+        return cols
+
+    with pytest.raises(ParseError) as err:
+        read_rows(path, (2,), no_e)
+    assert str(err.value) == f"{path}:4: no e"
+
+
+# -- every tab-separated format: write -> read -> write -----------------------
+
+# A field holds no tab, nothing `str.splitlines` ends a line at, no BOM (stripped
+# at the start of a file) and no surrogate (not UTF-8): no stage writes them.
+FIELD = st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85"
+                                                   "\u2028\u2029\ufeff"),
+                min_size=1, max_size=8)
+NE_TYPES = st.sampled_from(list(NeType))
+COUNTS = st.integers(1, 10**6)
+IDS = st.integers(0, 10**6)
+RANGES = st.tuples(st.integers(0, 200), st.integers(1, 20)).map(lambda sw: (sw[0], sw[0] + sw[1]))
+
+
+@st.composite
+def symbol_entries(draw):
+    ne_type = draw(NE_TYPES)
+    return SymbolEntry(draw(st.integers(0, 5)), f"{ne_type.value}{draw(st.integers(1, 99))}",
+                       draw(FIELD), ne_type, draw(st.just("") | FIELD))
+
+
+# name -> (records, write(records, path), read(path), the records a read returns)
+FORMATS = {
+    "ne_pairs": (st.lists(st.builds(NePair, FIELD, FIELD, NE_TYPES, COUNTS)),
+                 write_ne_pairs, read_ne_pairs, lambda rows: rows),
+    "annotations": (st.lists(st.builds(lambda sid, side, r, t: NeSpan(sid, side, *r, t),
+                                       IDS, st.sampled_from(SIDES), RANGES, NE_TYPES)),
+                    write_annotations, read_annotations, lambda rows: rows),
+    "alignments": (st.lists(st.builds(lambda sid, s, t, ty, score, d: AlignedPair(sid, *s, *t, ty,
+                                                                                 score, d),
+                                      IDS, RANGES, RANGES, NE_TYPES, st.floats(0, 1),
+                                      st.sampled_from(DIRECTIONS))),
+                   write_alignments, read_alignments,
+                   lambda rows: [replace(a, score=round(a.score, 6)) for a in rows]),
+    "lexical_table": (st.lists(st.builds(NePair, FIELD, FIELD, st.just(NeType.PER), COUNTS))
+                      .map(LexicalTable.from_pairs),
+                      LexicalTable.write, LexicalTable.read, lambda table: table),
+    # written grouped by sentence, as `replace` writes it
+    "symbol_map": (st.lists(symbol_entries(), unique_by=lambda e: (e.sentence_id, e.symbol))
+                   .map(lambda rows: sorted(rows, key=lambda e: e.sentence_id)),
+                   write_symbol_map,
+                   lambda path: [e for group in read_symbol_map(path).values() for e in group],
+                   lambda rows: rows),
+}
+
+
+@pytest.mark.parametrize("name", FORMATS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_file_format_round_trips_byte_for_byte(name, data):
+    records, write, read, expected = FORMATS[name]
+    records = data.draw(records)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.tsv"), Path(tmp, "second.tsv")
+        write(records, first)
+        got = read(first)
+        assert got == expected(records)
+        write(got, second)
+        assert second.read_bytes() == first.read_bytes()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from netrans import pipeline
 from netrans.align import AlignedPair
 from netrans.core import NePair, NeSpan, NeType, Sentence, SentencePair
-from netrans.errors import ContractError, ParseError
+from netrans.errors import ConfigError, ContractError, ParseError
 from netrans.pipeline import (
     ESC,
     LexicalTable,
@@ -442,6 +442,19 @@ def test_restore_corpus_without_a_translator_decodes_nothing():
     sentences, symbol_map, table, answers = mt_corpus()
     assert (restore_corpus(sentences, symbol_map, table, src_lang="zh", tgt_lang="en")
             == per_sentence(sentences, symbol_map, table, None))
+
+
+@pytest.mark.parametrize("with_translator", [False, True])
+def test_restore_corpus_checks_jobs_up_front(with_translator):
+    # without a translator, or with every surface in the table, nothing is decoded:
+    # the check cannot be left to the decode
+    sentences = [Sentence(("PER1", "arrived"), "en")]
+    symbol_map = {0: [SymbolEntry(0, "PER1", "马克", NeType.PER)]}
+    table = extract_lexical_table([NePair("马克", "mark", NeType.PER)])
+    translator = FailingOneBest() if with_translator else None
+    with pytest.raises(ConfigError, match="^jobs must be >= 1, got 0$"):
+        restore_corpus(sentences, symbol_map, table, translator, jobs=0,
+                       src_lang="zh", tgt_lang="en")
 
 
 def test_restore_corpus_fails_on_the_first_missed_surface():
