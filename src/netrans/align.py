@@ -19,7 +19,7 @@ recognizes every sentence, decodes each distinct surface of each direction
 once (`decode_once`, also used by `netrans restore`), then matches the
 sentences in-process through one set of memos (`_Memos`): each distinct
 candidate list is packed once, each distinct token folded once, each
-distinct `(text, lang)` normalized to its digit skeleton once and each
+distinct `(token, lang)` normalized to its digit skeleton once and each
 distinct pair of skeletons scored once, at first use. This is exact: each
 memo is keyed by the whole input of a deterministic function, so one result
 serves every occurrence. Only the decodes go to worker processes, and
@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import numnorm, simdist
 from .core import NePair, NeSpan, NeType, SentencePair, read_rows, write_lines
-from .errors import ConfigError, ContractError, LengthLimitError
+from .errors import ConfigError, ContractError
 from .ner import Recognizer
 from .parallel import pmap
 
@@ -113,17 +113,22 @@ def pack_candidates(candidates: Sequence[tuple[str, float]], threshold: float) -
     scoring at `threshold`."""
     segments = []
     masks: dict[str, int] = {}
-    offset = 0
+    most: dict[int, int] = {}  # candidate length -> `_most_unmatched` at threshold
+    bit = 1  # the next character's bit
     overlong = 0
     for rank, cand in enumerate(simdist.fold(c) for c, _ in candidates if c):
         m = len(cand)
         if m > simdist.MAX_CHARS:
             overlong += 1
             continue
-        for i, ch in enumerate(cand, offset):  # `simdist.char_masks`, shifted to the segment
-            masks[ch] = masks.get(ch, 0) | (1 << i)
-        segments.append((rank, ((1 << m) - 1) << offset, m, _most_unmatched(m, threshold)))
-        offset += m + 1  # the guard bit stays clear
+        low = bit
+        for ch in cand:  # `simdist.char_masks`, shifted to the segment
+            masks[ch] = masks.get(ch, 0) | bit
+            bit <<= 1
+        if m not in most:
+            most[m] = _most_unmatched(m, threshold)
+        segments.append((rank, bit - low, m, most[m]))
+        bit <<= 1  # the guard bit stays clear
     return CandidatePack(tuple(segments), masks, sum(seg for _, seg, _, _ in segments),
                          masks.get(" ", 0), overlong)
 
@@ -184,7 +189,18 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     warning is the one an unbounded scan gives.
 
     NT ranges match on digit skeletons (`numnorm.normalize_numeric` and
-    `numnorm.skeleton_similarity`).
+    `numnorm.skeleton_similarity`). Each token is normalized on its own and
+    a range's skeleton is its tokens' skeletons joined, as the scan extends
+    it one token at a time. This equals normalizing the space-joined text,
+    because no pattern of the packaged table holds whitespace: no match
+    crosses a space, and a letter after a space is at a word start, as at
+    the start of a text. A comparison is over-long, and counted, exactly
+    where `skeleton_similarity` raises: both skeletons are non-empty and
+    one exceeds `MAX_CHARS`. The scan skips the same work as above, and is
+    exact for the same reasons: no range as wide as a perfect score is
+    scored, and neither is a range whose last token adds no digit, as it
+    scores what the one-token-narrower range did. The over-long count
+    still walks every range.
 
     The candidate pack, the token folds, the digit skeletons and their
     scores come from `memos`, which must be built for `cfg.sim_threshold`;
@@ -200,19 +216,29 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     too_long = 0
     if ne.ne_type is NeType.NT:
         skeleton, nt_score = memos.skeleton, memos.nt_score
-        wanted = skeleton[ne.surface, ne_lang]
+        wanted = "".join([skeleton[token, ne_lang] for token in ne.surface.split(" ")])
         if not wanted:
             return None  # every range would score 0.0, below any threshold
+        skeletons = [skeleton[token, other_lang] for token in other_tokens]
+        fits = len(wanted) <= simdist.MAX_CHARS
+        reach = cfg.max_ngram + 1  # no range this many tokens wide can beat `best`
         for start in range(n):
+            skel = ""
             for end in range(start + 1, min(start + cfg.max_ngram, n) + 1):
-                text = " ".join(other_tokens[start:end])
-                try:
-                    score = nt_score[wanted, skeleton[text, other_lang]]
-                except LengthLimitError:
-                    too_long += 1
+                grown = skeletons[end - 1]
+                skel += grown
+                if not skel:
+                    continue  # scores 0.0
+                if not fits or len(skel) > simdist.MAX_CHARS:
+                    too_long += 1  # where `skeleton_similarity` raises
                     continue
+                if not grown or end - start >= reach:
+                    continue  # the score of a narrower range, or cannot make a smaller key
+                score = nt_score[wanted, skel]
                 if score >= threshold:
                     best = min(best, (-score, end - start, start, 0))
+                    if best[0] == -1.0:  # a perfect score: only narrower ranges can win
+                        reach = best[1]
     else:
         segments, masks, full, space, overlong = memos.packs[tuple(candidates)]
         if not segments and not overlong:
@@ -423,13 +449,15 @@ def _skeleton_score(key: tuple[str, str]) -> float:
 class _Memos:
     """What `match_span` works out from its inputs, for scoring at
     `threshold`, each memo keyed by the whole input of what it computes:
-    `packs` by candidate list, `fold` by token, `skeleton` by `(text,
-    lang)` and `nt_score` by `(wanted, skeleton)` pair.
+    `packs` by candidate list, `fold` by token, `skeleton` by `(token,
+    lang)` and `nt_score` by `(wanted, skeleton)` pair. NT surfaces and
+    ranges are normalized token by token (see `match_span`), so the
+    skeleton memo holds one entry per distinct token and language.
 
     `pack_candidates` and the `numnorm` functions are looked up at each
-    computation, so a patched one is called. A memo fills at first use; an
-    exception is not stored, so an over-long skeleton comparison raises,
-    and is warned about, at every span that makes it.
+    computation, so a patched one is called. A memo fills at first use.
+    Over-long comparisons are told apart by length before any lookup, so
+    they are warned about at every span that makes them.
     """
 
     def __init__(self, threshold: float):

@@ -5,12 +5,12 @@ and one Unicode scalar value counts as one character everywhere.
 Combining-mark clusters are not joined.
 
 This module owns the line format of every file: `read_lines` and
-`read_rows` read UTF-8 (a leading BOM is stripped) and `write_lines`
-writes it.  A tab-separated file is one record per line; blank lines are
-skipped, `#` lines too where a reader asks for comments, and a line with a
-wrong column count or a malformed field is a ParseError naming the file
-and line.  The other modules' readers and writers keep only their record
-fields and checks.
+`read_rows` read UTF-8 (a leading BOM is stripped, and only a newline ends
+a line) and `write_lines` writes it.  A tab-separated file is one record
+per line; blank lines are skipped, `#` lines too where a reader asks for
+comments, and a line with a wrong column count or a malformed field is a
+ParseError naming the file and line.  The other modules' readers and
+writers keep only their record fields and checks.
 """
 
 from __future__ import annotations
@@ -152,8 +152,16 @@ class NePair:
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, a leading BOM stripped."""
-    return Path(path).read_text(encoding="utf-8-sig").splitlines()
+    """The lines of a UTF-8 text file, a leading BOM stripped.
+
+    A line ends only at a newline (`\\r\\n` and `\\r` read as one). The other
+    characters `str.splitlines` ends a line at (form feed, U+2028 and the
+    like) stay inside their line, where they separate tokens as whitespace.
+    """
+    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the last line, or an empty file
+    return lines
 
 
 def read_rows(path, widths: tuple[int, ...], parse: Callable[[list[str]], R | None], *,

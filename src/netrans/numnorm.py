@@ -61,6 +61,12 @@ class RuleTable:
     for the language, and no other pattern consists of digits alone. The
     packaged table meets this; a user table that does not, e.g. one without
     the digit rules or with a "12" -> "5" rule, can change a skeleton again.
+
+    The skeleton of a space-joined text is its pieces' skeletons joined
+    under a table in which no pattern holds whitespace: no match then
+    crosses a space, and a letter after a space is at a word start, as at
+    the start of a text. The packaged table meets this, and
+    `align.match_span` relies on it to normalize each token once.
     """
 
     rules: dict[str, tuple[tuple[str, str], ...]]

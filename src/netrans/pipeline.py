@@ -58,12 +58,11 @@ class SymbolEntry:
 
 class _SymbolCounter:
     def __init__(self):
-        self._next = {t: 1 for t in NeType}
+        self._taken: dict[NeType, int] = {}
 
     def take(self, ne_type: NeType) -> str:
-        symbol = f"{ne_type.value}{self._next[ne_type]}"
-        self._next[ne_type] += 1
-        return symbol
+        n = self._taken[ne_type] = self._taken.get(ne_type, 0) + 1
+        return f"{ne_type.value}{n}"
 
 
 def _check_within(start: int, end: int, length: int, what: str, sid: int) -> None:

@@ -422,6 +422,42 @@ def test_nothing_after_a_one_token_perfect_match_is_looked_up():
                       other_lang="en") == (0, 1, 1.0)
 
 
+class CountingMemo(align._Memo):
+    """A run memo that records every lookup."""
+
+    def __init__(self, func):
+        super().__init__(func)
+        self.looked_up = []
+
+    def __getitem__(self, key):
+        self.looked_up.append(key)
+        return super().__getitem__(key)
+
+
+def test_nothing_after_a_one_token_nt_perfect_match_is_looked_up():
+    ne = NeSpan(0, "source", 0, 1, NeType.NT, "四十二")
+    tokens = ("42", "said", "4.2%", "forty", "2", "42")
+    memos = align._Memos(CFG.sim_threshold)
+    memos.nt_score = CountingMemo(memos.nt_score.func)
+    assert match_span(ne, [], tokens, CFG, ne_lang="zh", other_lang="en",
+                      memos=memos) == (0, 1, 1.0)
+    assert memos.nt_score.looked_up == [("42", "42")]
+    assert match_span(ne, [], tokens, CFG, ne_lang="zh", other_lang="en") == (0, 1, 1.0)
+
+
+def test_overlong_nt_tokens_after_a_perfect_match_still_warn(caplog):
+    ne = NeSpan(2, "source", 0, 1, NeType.NT, "七")
+    tokens = ("7", "said", "7" * 1030, "today", "7" * 1030)
+    got = outcome(caplog, match_span, ne, [], tokens, CFG, ne_lang="zh", other_lang="en")
+    # every range through a long token, but "today" alone and "said" alone
+    # have no digit and score 0.0 without a comparison
+    assert got == ((0, 1, 1.0), [
+        f"sentence 2: 8 comparison(s) for NT span '七' exceed {simdist.MAX_CHARS} chars, "
+        "treated as no match"])
+    assert got == outcome(caplog, reference_match_span, ne, [], tokens, CFG,
+                          ne_lang="zh", other_lang="en")
+
+
 def test_per_spans_make_no_similarity_calls(monkeypatch):
     calls = []
     similarity = simdist.similarity

@@ -15,6 +15,7 @@ from netrans.core import (
     Sentence,
     SentencePair,
     read_annotations,
+    read_lines,
     read_ne_pairs,
     read_parallel_corpus,
     read_rows,
@@ -132,6 +133,31 @@ def test_parallel_corpus_rejects_empty_line(tmp_path):
         read_parallel_corpus(tmp_path / "a", tmp_path / "b", "zh", "en")
 
 
+# what `str.splitlines` ends a line at besides "\n" and "\r"
+LINE_SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_a_line_separator_inside_a_sentence_shifts_no_line(tmp_path):
+    src, tgt = tmp_path / "c.zh", tmp_path / "c.en"
+    src.write_text("冰岛\u2028大使馆\n你好\n", encoding="utf-8")
+    tgt.write_text("iceland embassy\nhello\n", encoding="utf-8")
+    pairs = read_parallel_corpus(src, tgt, "zh", "en")
+    # the separator still separates tokens, as whitespace
+    assert [(p.src.tokens, p.tgt.tokens) for p in pairs] == [
+        (("冰岛", "大使馆"), ("iceland", "embassy")), (("你好",), ("hello",))]
+
+
+@pytest.mark.parametrize("separator", LINE_SEPARATORS)
+def test_only_a_newline_ends_a_line(tmp_path, separator):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(f"a{separator}b\r\nc\rd\n\ne".encode())
+    assert read_lines(path) == [f"a{separator}b", "c", "d", "", "e"]
+    for text, lines in [("", []), ("\n", [""]), ("x", ["x"]), ("x\n", ["x"]),
+                        ("\ufeffx\n\n", ["x", ""])]:
+        path.write_bytes(text.encode())
+        assert read_lines(path) == lines
+
+
 def test_ne_pairs_round_trip_and_default_count(tmp_path):
     path = tmp_path / "pairs.tsv"
     write_ne_pairs([NePair("北京", "beijing", NeType.LOC, 3)], path)
@@ -201,11 +227,11 @@ def test_read_rows_strips_a_bom_and_skips_blank_and_comment_lines(tmp_path):
 
 # -- every tab-separated format: write -> read -> write -----------------------
 
-# A field holds no tab, nothing `str.splitlines` ends a line at, no BOM (stripped
-# at the start of a file) and no surrogate (not UTF-8): no stage writes them.
+# A field holds no tab, no newline or carriage return (which end a line), no
+# BOM (stripped at the start of a file) and no surrogate (not UTF-8): no stage
+# writes them. The other characters `str.splitlines` ends a line at may appear.
 FIELD = st.text(st.characters(blacklist_categories=("Cs",),
-                              blacklist_characters="\t\n\r\x0b\x0c\x1c\x1d\x1e\x85"
-                                                   "\u2028\u2029\ufeff"),
+                              blacklist_characters="\t\n\r\ufeff"),
                 min_size=1, max_size=8)
 NE_TYPES = st.sampled_from(list(NeType))
 COUNTS = st.integers(1, 10**6)

@@ -224,3 +224,26 @@ def test_skeletons_need_not_be_idempotent_under_other_user_tables():
         [(d, d, "*") for d in DIGITS] + [("一", "1", "zh"), ("二", "2", "zh"), ("12", "5", "zh")])
     assert normalize_numeric("一二", "zh", two_digit_rule) == "12"
     assert normalize_numeric("12", "zh", two_digit_rule) == "5"
+
+
+# words and numerals that rewrite at a word start, and ones that must not;
+# Chinese months and numerals; digits and a zero; capital, final and medial
+# sigma; a dotted capital I that lowers to two characters; a lone combining
+# acute, which NFC could compose with a letter before it
+JOIN_PIECES = ["january", "May", "sept", "Oct", "one", "stone", "seventh", "a", "十一月", "十",
+               "一", "二月", "零", "7", "0", "42", "Σ", "ς", "σ", "İ", "\u0301"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(tokens=st.lists(st.lists(st.sampled_from(JOIN_PIECES), min_size=1, max_size=4)
+                       .map("".join), max_size=6),
+       lang=st.sampled_from(["en", "zh"]))
+def test_skeleton_of_joined_tokens_joins_their_skeletons(tokens, lang):
+    assert normalize_numeric(" ".join(tokens), lang) == "".join(
+        normalize_numeric(token, lang) for token in tokens)
+
+
+def test_no_packaged_pattern_holds_whitespace():
+    # what makes a text's skeleton its space-separated tokens' skeletons joined
+    patterns = [pattern for rules in default_rules().rules.values() for pattern, _ in rules]
+    assert patterns and all(pattern.split() == [pattern] for pattern in patterns)
