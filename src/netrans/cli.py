@@ -99,15 +99,15 @@ def cmd_translate_ne(args) -> int:
     if not 1 <= args.k <= args.beam:
         raise ConfigError(f"--k must be between 1 and --beam ({args.beam}), got {args.k}")
     model = load_model(args.model)
-    rows = []
-    for i, line in enumerate(core.read_lines(args.input)):
-        text = line.strip()
+    texts = [line.strip() for line in core.read_lines(args.input)]
+    for i, text in enumerate(texts):
         if not text:
             raise CorpusError(f"{args.input}: empty line {i + 1}")
-        kbest = beam_translate(model, text, args.beam, args.max_len)
-        for candidate, logprob in kbest[:args.k]:
-            rows.append(f"{text}\t{candidate}\t{logprob:.6f}")
-    _write_rows(args.out, rows)
+    # each distinct line is decoded once and printed at every occurrence
+    kbest = {text: beam_translate(model, text, args.beam, args.max_len)[:args.k]
+             for text in dict.fromkeys(texts)}
+    _write_rows(args.out, [f"{text}\t{candidate}\t{logprob:.6f}"
+                           for text in texts for candidate, logprob in kbest[text]])
     return 0
 
 

@@ -22,6 +22,20 @@ def translate(model: Seq2SeqModel, src: str, beam_width: int = 5,
     is, the lower character id; width 1 therefore reduces to greedy
     decoding, matching argmax.
 
+    The selection is one stable argsort of the negated flat scores, cut at
+    beam_width, with the non-finite picks dropped after the cut and the
+    rest put back in flat-index order; one pass over those at most
+    beam_width picks finishes the ones ending in <eos> and extends the
+    others. That keeps exactly the extensions above, with the same bits:
+    - live is in ids order and every ids tuple has the same length, so the
+      flat index (row, then id) is ids order, and a stable sort keeps
+      equal scores in it: the ids tie-break;
+    - no score is +inf, since step log-probs and running scores are <= 0,
+      so -(-inf) and NaN sort after every finite score, and dropping them
+      after the cut keeps the picks that dropping them first would;
+    - the running scores are added to the step log-probs in place, and
+      IEEE addition commutes, so each sum has the bits of score + logp.
+
     The live hypotheses are stepped together: their states are the rows of
     one (live, hidden) array and their scores one vector, so a beam step is
     one `model.step` call, and each row gets the bits of stepping it alone.
@@ -46,32 +60,40 @@ def translate(model: Seq2SeqModel, src: str, beam_width: int = 5,
     enc = model.encode(model.src_vocab.encode(src))
     att_enc = enc @ model.params["att_u"]
 
-    # live hypotheses, kept in ids order: ids tuples, running scores, states
+    # live hypotheses, kept in ids order: ids tuples, their last ids (BOS
+    # for the empty one), running scores and states
     live: list[tuple[int, ...]] = [()]
+    y_prev = [BOS]
     scores = np.zeros(1)
     states = model.initial_state(enc)[None]
     finished: list[tuple[float, tuple[int, ...]]] = []
     kth_finished = -np.inf
 
     for _ in range(max_len):
-        y_prev = [ids[-1] if ids else BOS for ids in live]
         logp, new_states = model.step(states, y_prev, enc, att_enc)
-        flat = (scores[:, None] + logp).ravel()
         width = logp.shape[1]
-        index = np.flatnonzero(np.isfinite(flat))
-        # live is in ids order and every ids tuple has the same length, so the
-        # flat index orders the extensions by their ids tuples
-        best = np.sort(index[np.lexsort((index, -flat[index]))[:beam_width]])
-        rows, ys = np.divmod(best, width)
-        done = ys == EOS
-        finished += [(flat[i], live[h]) for i, h in zip(best[done].tolist(), rows[done].tolist())]
-        keep = ~done
-        live = [live[h] + (y,) for h, y in zip(rows[keep].tolist(), ys[keep].tolist())]
+        logp += scores[:, None]
+        flat = logp.ravel()
+        picks = np.argsort(-flat, kind="stable")[:beam_width]
+        picks = np.sort(picks[np.isfinite(flat[picks])])
+        parents, kept, next_live, y_prev = [], [], [], []
+        done = False
+        for i in picks.tolist():
+            h, y = divmod(i, width)
+            if y == EOS:
+                finished.append((flat[i], live[h]))
+                done = True
+            else:
+                parents.append(h)
+                kept.append(i)
+                next_live.append(live[h] + (y,))
+                y_prev.append(y)
+        live = next_live
         if not live:
             break
-        scores = flat[best[keep]]
-        states = new_states[rows[keep]]
-        if done.any() and len(finished) >= beam_width:
+        scores = flat[kept]
+        states = new_states[parents]
+        if done and len(finished) >= beam_width:
             kth_finished = sorted(lp for lp, _ in finished)[-beam_width]
         if scores.max() < kth_finished:
             break

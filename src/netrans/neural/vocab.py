@@ -49,20 +49,22 @@ class CharVocab:
         return self._index.get(char, UNK)
 
     def char_of(self, idx: int) -> str:
-        if 0 <= idx < len(RESERVED):
+        if not 0 <= idx < len(self):
+            raise VocabError(f"id {idx} outside vocabulary of size {len(self)}")
+        if idx < len(RESERVED):
             return RESERVED[idx]
-        try:
-            return self.chars[idx - len(RESERVED)]
-        except IndexError:
-            raise VocabError(f"id {idx} outside vocabulary of size {len(self)}") from None
+        return self.chars[idx - len(RESERVED)]
 
     def encode(self, text: str) -> list[int]:
         return [self.id_of(c) for c in text]
 
     def decode(self, ids: Iterable[int]) -> str:
+        """Text of the ids; the reserved ids decode to nothing."""
+        chars, first, size = self.chars, len(RESERVED), len(self)
         out = []
         for i in ids:
-            c = self.char_of(i)
-            if i >= len(RESERVED):
-                out.append(c)
+            if not 0 <= i < size:
+                raise VocabError(f"id {i} outside vocabulary of size {size}")
+            if i >= first:
+                out.append(chars[i - first])
         return "".join(out)

@@ -187,6 +187,35 @@ def test_translate_matches_reference(seed, tgt_chars, sharpness, output, src, be
             == reference_translate(model, src, beam_width, max_len))
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       tgt_chars=st.sampled_from(["x", "xy", "xyzuvw"]),
+       output=st.sampled_from(["random", "fixed", "uniform"]),
+       bad_biases=st.lists(st.tuples(st.integers(0, 9),
+                                     st.sampled_from([-np.inf, -np.inf, np.nan])),
+                           max_size=4),
+       inf_weight=st.booleans(),
+       src=st.text(SRC_CHARS, min_size=1, max_size=6),
+       beam_width=st.integers(1, 8),
+       max_len=st.sampled_from([None, 1, 3]))
+def test_non_finite_scores_are_dropped_as_the_reference_drops_them(
+        seed, tgt_chars, output, bad_biases, inf_weight, src, beam_width, max_len):
+    # a -inf bias drops that id at every step, and a NaN one at a real id
+    # every extension (the log-softmax of a row with a NaN is all NaN); an
+    # infinite weight makes that id's logit +-inf or NaN depending on the
+    # state, so some rows of a step are all NaN and others lose one id. With
+    # "x" or "xy" most steps have fewer finite extensions than beam_width
+    model = random_model(seed, tgt_chars, 1.0, output)
+    n = len(model.tgt_vocab)
+    for i, bias in bad_biases:
+        model.params["out_b"][i % n] = bias
+    if inf_weight:
+        model.params["out_w"][0, n - 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert (translate(model, src, beam_width, max_len)
+                == reference_translate(model, src, beam_width, max_len))
+
+
 def test_all_ties_break_toward_the_lower_character_id():
     model = random_model(0, "xyz", 1.0, "uniform")
     # <eos> has the lowest unmasked id and "x" the lowest character id, so each

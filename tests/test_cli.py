@@ -231,6 +231,55 @@ def test_translate_ne_rejects_empty_lines(capsys, work, tiny_model):
     assert "empty line 2" in err
 
 
+def test_translate_ne_decodes_each_distinct_line_once(capsys, work, tiny_model, monkeypatch):
+    from netrans import cli
+
+    calls = []
+    decode = cli.beam_translate
+
+    def counting(model, text, *args, **kwargs):
+        calls.append(text)
+        return decode(model, text, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "beam_translate", counting)
+    lines = ["巴林", "安娜", "巴林", " 安娜 ", "马克", "巴林"]
+    inputs = work / "repeated_inputs.txt"
+    inputs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = work / "repeated_kbest.tsv"
+    rc, _, _ = run(capsys, "translate-ne", "--model", str(tiny_model),
+                   "--input", str(inputs), "--out", str(out), "--k", "2")
+    assert rc == 0
+    assert calls == ["巴林", "安娜", "马克"]
+    # the same rows, in input order, as decoding every line on its own
+    alone = b""
+    for n, line in enumerate(lines):
+        one = work / f"repeated_one_{n}.txt"
+        one.write_text(line + "\n", encoding="utf-8")
+        one_out = work / f"repeated_one_{n}.tsv"
+        rc, _, _ = run(capsys, "translate-ne", "--model", str(tiny_model),
+                       "--input", str(one), "--out", str(one_out), "--k", "2")
+        assert rc == 0
+        alone += one_out.read_bytes()
+    assert out.read_bytes() == alone
+    assert len(calls) == 3 + len(lines)
+
+
+def test_translate_ne_checks_every_line_before_decoding(capsys, work, tiny_model, monkeypatch):
+    from netrans import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "beam_translate", lambda *args: calls.append(args))
+    inputs = work / "late_empty_line.txt"
+    inputs.write_text("巴林\n安娜\n  \n马克\n", encoding="utf-8")
+    out = work / "late_empty_unused.tsv"
+    rc, _, err = run(capsys, "translate-ne", "--model", str(tiny_model),
+                     "--input", str(inputs), "--out", str(out))
+    assert rc == 2
+    assert "empty line 3" in err
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("k", ["0", "6"])
 def test_translate_ne_k_must_fit_the_beam(capsys, work, tiny_model, k):
     inputs = work / "k_inputs.txt"

@@ -54,6 +54,17 @@ def test_vocab_rejects_empty_and_bad_ids():
         v.char_of(len(v))
 
 
+@pytest.mark.parametrize("idx", [-1, -2, -6, -7, 10])
+def test_vocab_rejects_ids_outside_it_at_both_ends(idx):
+    # negative ids must not wrap around to the end of the character tuple
+    v = CharVocab(tuple("abcdef"))
+    with pytest.raises(VocabError, match=f"id {idx} outside vocabulary of size 10"):
+        v.char_of(idx)
+    with pytest.raises(VocabError, match=f"id {idx} outside vocabulary of size 10"):
+        v.decode([4, idx, 5])
+    assert v.decode([4, 9]) == "af"
+
+
 # -- configuration and parameters --------------------------------------------
 
 
