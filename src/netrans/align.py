@@ -18,11 +18,11 @@ Names, numbers and words repeat across a corpus, so `align_corpus`
 recognizes every sentence, decodes each distinct surface of each direction
 once (`decode_once`, also used by `netrans restore`), then matches the
 sentences in-process through one set of memos (`_Memos`): each distinct
-candidate list is packed once, each distinct token folded once, each
-distinct `(token, lang)` normalized to its digit skeleton once and each
-distinct pair of skeletons scored once, at first use. This is exact: each
-memo is keyed by the whole input of a deterministic function, so one result
-serves every occurrence. Only the decodes go to worker processes, and
+candidate list is packed once (an NT span's digit skeleton is its one
+candidate), each distinct token folded once and each distinct `(token,
+lang)` normalized to its digit skeleton once, at first use. This is exact:
+each memo is keyed by the whole input of a deterministic function, so one
+result serves every occurrence. Only the decodes go to worker processes, and
 `pmap` returns them in input order, so the result is the same for any job
 count.
 """
@@ -156,19 +156,40 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     candidate. A candidate/range pair longer than `simdist.MAX_CHARS` folded
     characters counts as no match.
 
-    PER/LOC ranges are scored in one bit-parallel LCS pass per start token
-    that serves every candidate at once: each candidate that fits
-    `MAX_CHARS` owns a segment of one bit vector, with a zero guard bit
-    above it (`pack_candidates`). `v - u` never borrows, because `u` is a
-    subset of `v`, and the carry out of a segment's top bit lands in its
-    guard bit, which `& full` clears, so each segment evolves exactly as
-    that candidate's own vector would. The bit vector after a prefix of the
-    text already holds the LCS against that prefix, so the pass over a
-    start's `max_ngram` tokens and their joining spaces reads every
-    n-gram's score, per candidate, at its end. The scores are the integer
-    ratios `simdist.similarity` gives, because folding commutes with
-    joining tokens by spaces, so the result is the same as comparing each
-    range with each candidate on its own.
+    Ranges are scored in one bit-parallel LCS pass per start token that
+    serves every candidate at once: each candidate that fits `MAX_CHARS`
+    owns a segment of one bit vector, with a zero guard bit above it
+    (`pack_candidates`). `v - u` never borrows, because `u` is a subset of
+    `v`, and the carry out of a segment's top bit lands in its guard bit,
+    which `& full` clears, so each segment evolves exactly as that
+    candidate's own vector would. The bit vector after a prefix of the text
+    already holds the LCS against that prefix, so the pass over a start's
+    `max_ngram` tokens and their joiners reads every n-gram's score, per
+    candidate, at its end. For PER/LOC the text is the folded tokens joined
+    by spaces, and the scores are the integer ratios `simdist.similarity`
+    gives, because folding commutes with joining tokens by spaces, so the
+    result is the same as comparing each range with each candidate on its
+    own.
+
+    An NT span has no translator and matches on digit skeletons
+    (`numnorm.normalize_numeric`): it is scanned as a span whose one
+    candidate is its own skeleton, against the tokens' skeletons joined
+    with no joiner. Each token is normalized on its own, which equals
+    normalizing the space-joined text, because no pattern of the packaged
+    table holds whitespace: no match crosses a space, and a letter after a
+    space is at a word start, as at the start of a text. The result is the
+    one `numnorm.skeleton_similarity` gives per range, exactly:
+    - skeletons are digits, so folding leaves the candidate as it is and
+      its pack has no space mask;
+    - `(m - unmatched) / m` is `lcs / len(wanted)`, the same integers
+      divided, so the scores are equal to the bit;
+    - the one candidate has rank 0, as every NT key had;
+    - a token with an empty skeleton leaves `v` as it is, so its ranges
+      score what the one-token-narrower range did, or 0.
+    A comparison is over-long, and counted, exactly where
+    `skeleton_similarity` raises: one skeleton exceeds `MAX_CHARS` and the
+    other is non-empty. So an over-long candidate counts one comparison
+    per range with any text; for PER/LOC that is every range.
 
     The scan keeps only the smallest key `(-score, width, start, rank)` of
     a range at or above threshold, and skips work that cannot make a
@@ -188,99 +209,69 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     `MAX_CHARS` count still walks every range, scanned or not, so the
     warning is the one an unbounded scan gives.
 
-    NT ranges match on digit skeletons (`numnorm.normalize_numeric` and
-    `numnorm.skeleton_similarity`). Each token is normalized on its own and
-    a range's skeleton is its tokens' skeletons joined, as the scan extends
-    it one token at a time. This equals normalizing the space-joined text,
-    because no pattern of the packaged table holds whitespace: no match
-    crosses a space, and a letter after a space is at a word start, as at
-    the start of a text. A comparison is over-long, and counted, exactly
-    where `skeleton_similarity` raises: both skeletons are non-empty and
-    one exceeds `MAX_CHARS`. The scan skips the same work as above, and is
-    exact for the same reasons: no range as wide as a perfect score is
-    scored, and neither is a range whose last token adds no digit, as it
-    scores what the one-token-narrower range did. The over-long count
-    still walks every range.
-
-    The candidate pack, the token folds, the digit skeletons and their
-    scores come from `memos`, which must be built for `cfg.sim_threshold`;
-    without it the call builds its own. `align_corpus` shares one across
-    its run. Each memo is keyed by the whole input of what it computes, so
-    the result does not depend on what the memos already hold.
+    The candidate pack, the token folds and the digit skeletons come from
+    `memos`, which must be built for `cfg.sim_threshold`; without it the
+    call builds its own. `align_corpus` shares one across its run. Each
+    memo is keyed by the whole input of what it computes, so the result
+    does not depend on what the memos already hold.
     """
     n = len(other_tokens)
-    threshold = cfg.sim_threshold
     if memos is None:
-        memos = _Memos(threshold)
-    best = _NO_HIT  # the smallest (-score, width, start, rank) at or above threshold
-    too_long = 0
+        memos = _Memos(cfg.sim_threshold)
     if ne.ne_type is NeType.NT:
-        skeleton, nt_score = memos.skeleton, memos.nt_score
+        skeleton = memos.skeleton
         wanted = "".join([skeleton[token, ne_lang] for token in ne.surface.split(" ")])
         if not wanted:
             return None  # every range would score 0.0, below any threshold
-        skeletons = [skeleton[token, other_lang] for token in other_tokens]
-        fits = len(wanted) <= simdist.MAX_CHARS
-        reach = cfg.max_ngram + 1  # no range this many tokens wide can beat `best`
-        for start in range(n):
-            skel = ""
-            for end in range(start + 1, min(start + cfg.max_ngram, n) + 1):
-                grown = skeletons[end - 1]
-                skel += grown
-                if not skel:
-                    continue  # scores 0.0
-                if not fits or len(skel) > simdist.MAX_CHARS:
-                    too_long += 1  # where `skeleton_similarity` raises
-                    continue
-                if not grown or end - start >= reach:
-                    continue  # the score of a narrower range, or cannot make a smaller key
-                score = nt_score[wanted, skel]
-                if score >= threshold:
-                    best = min(best, (-score, end - start, start, 0))
-                    if best[0] == -1.0:  # a perfect score: only narrower ranges can win
-                        reach = best[1]
+        candidates = ((wanted, 0.0),)
+        texts = [skeleton[token, other_lang] for token in other_tokens]
+        sep = 0  # a range's skeleton is its tokens' skeletons joined
     else:
-        segments, masks, full, space, overlong = memos.packs[tuple(candidates)]
-        if not segments and not overlong:
-            raise ConfigError(
-                f"no translation candidates for {ne.ne_type.value} span {ne.surface!r}")
-        folded = list(map(memos.fold.__getitem__, other_tokens))
-        token_masks: list[list[int] | None] = [None] * n  # built at first use
-        reach = cfg.max_ngram + 1  # no range this many tokens wide can beat `best`
-        for start in range(n):
-            stop = min(start + cfg.max_ngram, n)
-            too_long += overlong * (stop - start)
-            # a start with no candidate character and no space to match is dead
-            live = reach > 1 and (space or not masks.keys().isdisjoint(folded[start]))
-            v = prev = full
-            length = -1
-            for end in range(start + 1, stop + 1):
-                length += len(folded[end - 1]) + 1
-                if length > simdist.MAX_CHARS:
-                    too_long += (stop - end + 1) * len(segments)  # the fragment only grows
-                    break
-                if not live or end - start >= reach:
-                    continue  # cannot make a smaller key
-                if end > start + 1 and space:
-                    u = v & space
-                    v = ((v + u) | (v - u)) & full
-                xs = token_masks[end - 1]
-                if xs is None:  # a character no candidate has leaves `v` as it is
-                    xs = token_masks[end - 1] = [x for x in map(masks.get, folded[end - 1]) if x]
-                for x in xs:
-                    u = v & x
-                    v = ((v + u) | (v - u)) & full
-                if v == prev:
-                    continue  # the scores of a narrower range, or all 0
-                prev = v
-                for rank, seg, m, most in segments:
-                    unmatched = (v & seg).bit_count()
-                    if unmatched <= most:
-                        key = (-(m - unmatched) / m, end - start, start, rank)
-                        if key < best:
-                            best = key
-                if best[0] == -1.0:  # a perfect score: only narrower ranges can win
-                    reach = best[1]
+        texts = list(map(memos.fold.__getitem__, other_tokens))
+        sep = 1  # a range's text is its tokens joined by spaces
+    segments, masks, full, space, overlong = memos.packs[tuple(candidates)]
+    if not segments and not overlong:
+        raise ConfigError(
+            f"no translation candidates for {ne.ne_type.value} span {ne.surface!r}")
+    best = _NO_HIT  # the smallest (-score, width, start, rank) at or above threshold
+    too_long = 0
+    token_masks: list[list[int] | None] = [None] * n  # built at first use
+    reach = cfg.max_ngram + 1  # no range this many tokens wide can beat `best`
+    for start in range(n):
+        stop = min(start + cfg.max_ngram, n)
+        if overlong:  # one comparison per range with any text
+            too_long += overlong * next((stop - j for j in range(start, stop) if texts[j]), 0)
+        # a start with no candidate character and no space to match is dead
+        live = reach > 1 and (space or not masks.keys().isdisjoint(texts[start]))
+        v = prev = full
+        length = -sep
+        for end in range(start + 1, stop + 1):
+            length += len(texts[end - 1]) + sep
+            if length > simdist.MAX_CHARS:
+                too_long += (stop - end + 1) * len(segments)  # the fragment only grows
+                break
+            if not live or end - start >= reach:
+                continue  # cannot make a smaller key
+            if end > start + 1 and space:
+                u = v & space
+                v = ((v + u) | (v - u)) & full
+            xs = token_masks[end - 1]
+            if xs is None:  # a character no candidate has leaves `v` as it is
+                xs = token_masks[end - 1] = [x for x in map(masks.get, texts[end - 1]) if x]
+            for x in xs:
+                u = v & x
+                v = ((v + u) | (v - u)) & full
+            if v == prev:
+                continue  # the scores of a narrower range, or all 0
+            prev = v
+            for rank, seg, m, most in segments:
+                unmatched = (v & seg).bit_count()
+                if unmatched <= most:
+                    key = (-(m - unmatched) / m, end - start, start, rank)
+                    if key < best:
+                        best = key
+            if best[0] == -1.0:  # a perfect score: only narrower ranges can win
+                reach = best[1]
     if too_long:
         log.warning("sentence %d: %d comparison(s) for %s span %r exceed %d chars, "
                     "treated as no match", ne.sentence_id, too_long, ne.ne_type.value,
@@ -442,29 +433,25 @@ def _skeleton(key: tuple[str, str]) -> str:
     return numnorm.normalize_numeric(*key)
 
 
-def _skeleton_score(key: tuple[str, str]) -> float:
-    return numnorm.skeleton_similarity(*key)
-
-
 class _Memos:
     """What `match_span` works out from its inputs, for scoring at
     `threshold`, each memo keyed by the whole input of what it computes:
-    `packs` by candidate list, `fold` by token, `skeleton` by `(token,
-    lang)` and `nt_score` by `(wanted, skeleton)` pair. NT surfaces and
-    ranges are normalized token by token (see `match_span`), so the
-    skeleton memo holds one entry per distinct token and language.
+    `packs` by candidate list, `fold` by token and `skeleton` by `(token,
+    lang)`. NT surfaces and ranges are normalized token by token (see
+    `match_span`), so the skeleton memo holds one entry per distinct token
+    and language, and an NT span's one-candidate list is packed once per
+    distinct skeleton.
 
-    `pack_candidates` and the `numnorm` functions are looked up at each
+    `pack_candidates` and `numnorm.normalize_numeric` are looked up at each
     computation, so a patched one is called. A memo fills at first use.
-    Over-long comparisons are told apart by length before any lookup, so
-    they are warned about at every span that makes them.
+    Over-long comparisons are counted at each span, from the pack and the
+    text lengths, so they are warned about at every span that makes them.
     """
 
     def __init__(self, threshold: float):
         self.packs = _Memo(partial(_pack, threshold=threshold))
         self.fold = _Memo(simdist.fold)
         self.skeleton = _Memo(_skeleton)
-        self.nt_score = _Memo(_skeleton_score)
 
 
 def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,

@@ -98,6 +98,8 @@ def cmd_translate_ne(args) -> int:
     _require(args, "model", "input")
     if not 1 <= args.k <= args.beam:
         raise ConfigError(f"--k must be between 1 and --beam ({args.beam}), got {args.k}")
+    if args.max_len is not None and args.max_len < 1:  # an empty input decodes nothing
+        raise ConfigError(f"max_len must be >= 1, got {args.max_len}")
     model = load_model(args.model)
     texts = [line.strip() for line in core.read_lines(args.input)]
     for i, text in enumerate(texts):

@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from ..errors import ChecksumError, ModelIOError, TruncatedModelError, VersionError
+from ..errors import ChecksumError, ConfigError, ModelIOError, TruncatedModelError, VersionError
 from .model import ModelConfig, Seq2SeqModel
 from .vocab import CharVocab
 
@@ -82,11 +82,11 @@ def load_model(path: str) -> Seq2SeqModel:
         raise TruncatedModelError(f"{path}: header cut short")
     try:
         header = json.loads(data[fixed_end:header_end].decode("utf-8"))
-        config = ModelConfig(**header["config"])
+        config = ModelConfig(**header["config"])  # a bad size is the file's fault, not the run's
         src_vocab = CharVocab(tuple(header["src_chars"]))
         tgt_vocab = CharVocab(tuple(header["tgt_chars"]))
         tensor_specs = [(name, tuple(shape)) for name, shape in header["tensors"]]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise ModelIOError(f"{path}: malformed header ({exc})") from exc
 
     tensor_bytes = sum(8 * int(np.prod(shape, dtype=np.int64)) for _, shape in tensor_specs)

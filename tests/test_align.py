@@ -422,26 +422,19 @@ def test_nothing_after_a_one_token_perfect_match_is_looked_up():
                       other_lang="en") == (0, 1, 1.0)
 
 
-class CountingMemo(align._Memo):
-    """A run memo that records every lookup."""
-
-    def __init__(self, func):
-        super().__init__(func)
-        self.looked_up = []
-
-    def __getitem__(self, key):
-        self.looked_up.append(key)
-        return super().__getitem__(key)
-
-
 def test_nothing_after_a_one_token_nt_perfect_match_is_looked_up():
     ne = NeSpan(0, "source", 0, 1, NeType.NT, "四十二")
     tokens = ("42", "said", "4.2%", "forty", "2", "42")
     memos = align._Memos(CFG.sim_threshold)
-    memos.nt_score = CountingMemo(memos.nt_score.func)
+    key = (("42", 0.0),)  # the span's digit skeleton is its one candidate
+    pack = memos.packs[key]
+    masks = CountingMasks(pack.masks)
+    memos.packs[key] = pack._replace(masks=masks)
     assert match_span(ne, [], tokens, CFG, ne_lang="zh", other_lang="en",
                       memos=memos) == (0, 1, 1.0)
-    assert memos.nt_score.looked_up == [("42", "42")]
+    # the pack has no space, so the first start checks its token against the
+    # characters, then looks up each of them once
+    assert masks.looked_up == ["keys()", "4", "2"]
     assert match_span(ne, [], tokens, CFG, ne_lang="zh", other_lang="en") == (0, 1, 1.0)
 
 
@@ -456,6 +449,27 @@ def test_overlong_nt_tokens_after_a_perfect_match_still_warn(caplog):
         "treated as no match"])
     assert got == outcome(caplog, reference_match_span, ne, [], tokens, CFG,
                           ne_lang="zh", other_lang="en")
+
+
+def test_nt_skeletons_join_with_no_joiner_at_the_length_limit(caplog):
+    fits, over = simdist.MAX_CHARS, simdist.MAX_CHARS + 1
+    cases = [
+        # 1,020 + 4 digits fit; joined by a space they would not, and the
+        # one-token range would win at 1020/1024
+        ("7" * fits, ("7" * 1020, "7" * 4), ((0, 2, 1.0), [])),
+        # 1,021 + 4 digits do not: one over-long comparison
+        ("7" * fits, ("7" * 1021, "7" * 4), ((0, 1, 1021 / fits), [
+            f"sentence 3: 1 comparison(s) for NT span '{'7' * fits}' exceed "
+            f"{simdist.MAX_CHARS} chars, treated as no match"])),
+        # an over-long skeleton against ranges with no digit compares nothing
+        ("7" * over, ("said", "today", "x"), (None, [])),
+    ]
+    for surface, tokens, want in cases:
+        ne = NeSpan(3, "source", 0, 1, NeType.NT, surface)
+        got = outcome(caplog, match_span, ne, [], tokens, CFG, ne_lang="zh", other_lang="en")
+        assert got == want
+        assert got == outcome(caplog, reference_match_span, ne, [], tokens, CFG,
+                              ne_lang="zh", other_lang="en")
 
 
 def test_per_spans_make_no_similarity_calls(monkeypatch):
@@ -767,8 +781,8 @@ def test_a_missing_translator_fails_at_its_first_span_before_any_decode(tmp_path
 
 def per_span_alignments(corpus, recognizer, cfg, s2t, t2s):
     """Every sentence through `align_sentence_pair` with fresh memos: each
-    sentence packs its candidates, folds its tokens and scores its skeletons
-    itself."""
+    sentence packs its candidates, folds its tokens and normalizes its
+    skeletons itself."""
     out = []
     for p in corpus:
         out += align_sentence_pair(p, recognizer.recognize(p.src, p.id, "source"),
@@ -828,13 +842,19 @@ def test_align_corpus_packs_each_candidate_list_once(monkeypatch):
     assert alignments == want
     translators = {"s2t": s2t, "t2s": t2s}
     spans = []  # (direction, surface) of every PER/LOC span, in the order matched
+    lists = []  # the candidate list of every span with one, in the order matched
     for p in synthetic.corpus:
         for direction, side, sentence in (("s2t", "source", p.src), ("t2s", "target", p.tgt)):
-            spans += [(direction, ne.surface) for ne in recognizer.recognize(sentence, p.id, side)
-                      if ne.ne_type is not NeType.NT]
-    lists = [tuple(translators[direction](surface)) for direction, surface in spans]
+            for ne in recognizer.recognize(sentence, p.id, side):
+                if ne.ne_type is not NeType.NT:
+                    spans.append((direction, ne.surface))
+                    lists.append(tuple(translators[direction](ne.surface)))
+                elif wanted := numnorm.normalize_numeric(ne.surface, sentence.lang):
+                    lists.append(((wanted, 0.0),))  # an NT span's skeleton is its one candidate
+    per_loc = [tuple(translators[direction](surface)) for direction, surface in spans]
     # surfaces repeat, and the unknown ones of both directions share one list
-    assert len(set(lists)) < len(set(spans)) < len(spans)
+    assert len(set(per_loc)) < len(set(spans)) < len(spans)
+    assert len(lists) > len(per_loc)
     assert built == list(dict.fromkeys(lists))
 
     built.clear()  # at jobs=2 too, as matching runs in this process
@@ -842,27 +862,39 @@ def test_align_corpus_packs_each_candidate_list_once(monkeypatch):
     assert built == list(dict.fromkeys(lists))
 
 
-def test_align_corpus_scores_each_skeleton_pair_once(monkeypatch):
+def nt_packs(corpus, recognizer):
+    """The one-candidate list of each NT span with a digit skeleton, in the
+    order `align_corpus` matches the spans."""
+    lists = []
+    for p in corpus:
+        for side, sentence in (("source", p.src), ("target", p.tgt)):
+            for ne in recognizer.recognize(sentence, p.id, side):
+                if ne.ne_type is NeType.NT and (
+                        wanted := numnorm.normalize_numeric(ne.surface, sentence.lang)):
+                    lists.append(((wanted, 0.0),))
+    return lists
+
+
+def test_align_corpus_packs_each_nt_skeleton_once(monkeypatch):
     synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.1)
     recognizer = AnnotationRecognizer(synthetic.annotations)
     s2t = DictTranslator({p.src: [(p.tgt, 0.0)] for p in synthetic.train_pairs})
     t2s = DictTranslator({p.tgt: [(p.src, 0.0)] for p in synthetic.train_pairs})
-    calls = []
-    real = numnorm.skeleton_similarity
-
-    def counting(a, b):
-        calls.append((a, b))
-        return real(a, b)
-
-    monkeypatch.setattr(numnorm, "skeleton_similarity", counting)
     want = per_span_alignments(synthetic.corpus, recognizer, CFG, s2t, t2s)
-    per_span_calls = Counter(calls)
-    assert max(per_span_calls.values()) > 1  # pairs repeat, so scores are saved
+    lists = nt_packs(synthetic.corpus, recognizer)
+    assert len(set(lists)) < len(lists)  # skeletons repeat, so packs are saved
     assert any(a.ne_type is NeType.NT for a in want)
 
-    calls.clear()
+    built = []
+    pack = align.pack_candidates
+
+    def counting(candidates, threshold):
+        built.append(tuple(candidates))
+        return pack(candidates, threshold)
+
+    monkeypatch.setattr(align, "pack_candidates", counting)
     assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s)[0] == want
-    assert Counter(calls) == Counter(set(per_span_calls))
+    assert [c for c in built if c in lists] == list(dict.fromkeys(lists))
 
 
 def test_overlong_comparisons_warn_at_every_repeat(caplog):

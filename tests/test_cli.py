@@ -304,6 +304,32 @@ def test_translate_ne_max_len_must_be_positive(capsys, work, tiny_model, max_len
     assert not out.exists()
 
 
+def test_translate_ne_checks_max_len_before_reading_an_empty_input(capsys, work, tiny_model):
+    inputs = work / "max_len_empty_inputs.txt"
+    inputs.write_text("", encoding="utf-8")
+    out = work / "max_len_empty_unused.tsv"
+    rc, _, err = run(capsys, "translate-ne", "--model", str(tiny_model),
+                     "--input", str(inputs), "--out", str(out), "--max-len", "0")
+    assert rc == 1
+    assert "max_len must be >= 1, got 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["translate-ne", "score-ne"])
+def test_an_impossible_size_in_a_model_header_exits_2(capsys, work, tiny_model, tiny_pairs,
+                                                     command):
+    bad = work / "zero_hidden.bin"
+    blob = tiny_model.read_bytes()
+    assert blob.count(b'"hidden_size":10') == 1
+    bad.write_bytes(blob.replace(b'"hidden_size":10', b'"hidden_size": 0'))  # same length
+    inputs = work / "zero_hidden_inputs.txt"
+    inputs.write_text("巴林\n", encoding="utf-8")
+    data = {"translate-ne": ["--input", str(inputs)], "score-ne": ["--pairs", str(tiny_pairs)]}
+    rc, _, err = run(capsys, command, "--model", str(bad), *data[command])
+    assert rc == 2
+    assert err.startswith(f"error: {bad}: malformed header ")
+
+
 def test_score_ne(capsys, work, tiny_model, tiny_pairs):
     rc, out, _ = run(capsys, "score-ne", "--model", str(tiny_model),
                      "--pairs", str(tiny_pairs))

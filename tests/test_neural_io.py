@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -135,6 +136,15 @@ def test_mangled_header_json(saved):
     blob[FIXED_HEADER] = ord("!")  # breaks the JSON object opener
     path.write_bytes(bytes(blob))
     with pytest.raises(ModelIOError):
+        load_model(str(path))
+
+
+def test_an_impossible_size_in_the_header_is_a_malformed_file(saved):
+    _, path = saved
+    blob = path.read_bytes()
+    assert blob.count(b'"hidden_size":8') == 1
+    path.write_bytes(blob.replace(b'"hidden_size":8', b'"hidden_size":0'))
+    with pytest.raises(ModelIOError, match=f"^{re.escape(str(path))}: malformed header "):
         load_model(str(path))
 
 
