@@ -16,29 +16,32 @@ far, and skips the ranges and readouts that cannot beat it.
 
 Names, numbers and words repeat across a corpus, so `align_corpus`
 recognizes every sentence, decodes each distinct surface of each direction
-once (`decode_once`, also used by `netrans restore`), then matches the
-sentences in-process through one set of memos (`_Memos`): each distinct
-candidate list is packed once (an NT span's digit skeleton is its one
-candidate), each distinct token folded once and each distinct `(token,
-lang)` normalized to its digit skeleton once, at first use. This is exact:
-each memo is keyed by the whole input of a deterministic function, so one
-result serves every occurrence. Only the decodes go to worker processes, and
-`pmap` returns them in input order, so the result is the same for any job
-count.
+once, then matches the sentences in-process through one set of memos
+(`_Memos`): each distinct candidate list is packed once (an NT span's digit
+skeleton is its one candidate), each distinct token folded once and each
+distinct `(token, lang)` normalized to its digit skeleton once, at first
+use. This is exact: each memo is keyed by the whole input of a
+deterministic function, so one result serves every occurrence.
+
+`decode_once` is the one decode step of the toolkit: `align_corpus`,
+`pipeline.restore_corpus` and `netrans translate-ne` all hand it their
+surfaces as they come. It keeps the first occurrence of each and is the only
+place that starts worker processes; they return the decodes in input order,
+so the result is the same for any job count.
 """
 
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import numnorm, simdist
 from .core import NePair, NeSpan, NeType, SentencePair, read_rows, write_lines
 from .errors import ConfigError, ContractError
 from .ner import Recognizer
-from .parallel import pmap
 
 log = logging.getLogger(__name__)
 
@@ -108,7 +111,7 @@ class CandidatePack(NamedTuple):
 
 
 def pack_candidates(candidates: Sequence[tuple[str, float]], threshold: float) -> CandidatePack:
-    """Fold the non-empty candidates and pack each that fits `simdist.MAX_CHARS`
+    """Fold the non-blank candidates and pack each that fits `simdist.MAX_CHARS`
     into its own segment, in rank order, with a zero guard bit above it, for
     scoring at `threshold`."""
     segments = []
@@ -116,7 +119,7 @@ def pack_candidates(candidates: Sequence[tuple[str, float]], threshold: float) -
     most: dict[int, int] = {}  # candidate length -> `_most_unmatched` at threshold
     bit = 1  # the next character's bit
     overlong = 0
-    for rank, cand in enumerate(simdist.fold(c) for c, _ in candidates if c):
+    for rank, cand in enumerate(simdist.fold(c) for c, _ in candidates if c.strip()):
         m = len(cand)
         if m > simdist.MAX_CHARS:
             overlong += 1
@@ -404,12 +407,28 @@ def _merge_directions(fwd: list[_Link], rev: list[_Link], sentence_id: int) -> l
 
 # -- corpus-level driver --------------------------------------------------
 
-def decode_once(translator: Translator, surfaces: Sequence[str], jobs: int) -> Translator:
-    """`translator` as a lookup over `surfaces`, called once per surface; jobs > 1
-    spreads the calls over processes, so the translator must then pickle.
-    This is the one fan-out of `align` and `restore`: matching and restoring
-    run in the calling process."""
-    return dict(zip(surfaces, pmap(translator, surfaces, jobs))).__getitem__
+def decode_once(translator: Translator, surfaces: Iterable[str], jobs: int = 1) -> Translator:
+    """`translator` as a lookup over the distinct `surfaces`, called once per
+    surface, first occurrence first.
+
+    This is the one decode step, and its one fan-out: jobs > 1 spreads the
+    calls over up to `jobs` processes, no more than there are distinct
+    surfaces, as the pool forks all of its workers at the first submit. The
+    translator must then pickle. One job or fewer than two distinct surfaces
+    decode in-process. The results come back in input order, so the lookup
+    is the same for any job count; everything else runs in the caller.
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    distinct = list(dict.fromkeys(surfaces))
+    if jobs == 1 or len(distinct) < 2:
+        decoded = list(map(translator, distinct))
+    else:
+        workers = min(jobs, len(distinct))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            decoded = list(pool.map(translator, distinct,
+                                    chunksize=max(1, len(distinct) // (workers * 4))))
+    return dict(zip(distinct, decoded)).__getitem__
 
 
 class _Memo(dict):
@@ -461,7 +480,7 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
     """Align every sentence pair and aggregate the extracted entity pairs.
 
     Recognizes every sentence in-process, decodes the distinct PER/LOC
-    surfaces of each enabled direction once, first occurrence first, then
+    surfaces of each enabled direction once (`decode_once`), then
     matches the sentences through one `_Memos`, dropped when the run
     returns. As each memo is keyed by the whole input of what it computes,
     the result is the same as aligning each sentence on its own, and errors
@@ -483,9 +502,8 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
     def decoded(translator: Translator | None, direction: str, side: int):
         if translator is None or cfg.directions not in (BOTH, direction):
             return None
-        surfaces = dict.fromkeys(s.surface for task in tasks for s in task[side]
-                                 if s.ne_type is not NeType.NT)
-        return decode_once(translator, list(surfaces), jobs)
+        return decode_once(translator, (s.surface for task in tasks for s in task[side]
+                                        if s.ne_type is not NeType.NT), jobs)
 
     s2t, t2s = decoded(s2t, S2T, 1), decoded(t2s, T2S, 2)
     memos = _Memos(cfg.sim_threshold)

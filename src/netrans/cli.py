@@ -8,10 +8,12 @@ diagnostic tools. Exit codes: 0 success, 1 usage or configuration problem,
 
 Every subcommand accepts `--config FILE` with `key = value` lines (`#`
 comments); command-line flags override file values, unknown keys are
-rejected. All randomness flows from `--seed`. `--jobs` spreads the model
-decodes of `align` and `restore` over processes; matching, replacing and
-restoring run in one process. `replace` accepts `--jobs` for symmetry.
-Outputs are byte-identical for any job count.
+rejected. All randomness flows from `--seed`. `align`, `restore` and
+`translate-ne` decode through one step, `align.decode_once`, which decodes
+each distinct surface once. `--jobs` spreads the model decodes of `align`
+and `restore` over processes; matching, replacing and restoring run in one
+process. `replace` accepts `--jobs` for symmetry. Outputs are
+byte-identical for any job count.
 """
 
 from __future__ import annotations
@@ -106,10 +108,10 @@ def cmd_translate_ne(args) -> int:
         if not text:
             raise CorpusError(f"{args.input}: empty line {i + 1}")
     # each distinct line is decoded once and printed at every occurrence
-    kbest = {text: beam_translate(model, text, args.beam, args.max_len)[:args.k]
-             for text in dict.fromkeys(texts)}
+    kbest = align.decode_once(partial(beam_translate, model, beam_width=args.beam,
+                                      max_len=args.max_len), texts)
     _write_rows(args.out, [f"{text}\t{candidate}\t{logprob:.6f}"
-                           for text in texts for candidate, logprob in kbest[text]])
+                           for text in texts for candidate, logprob in kbest(text)[:args.k]])
     return 0
 
 

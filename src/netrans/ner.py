@@ -13,7 +13,7 @@ from typing import Iterable, Protocol
 
 from .core import NeSpan, NeType, Sentence, read_rows
 from .errors import AnnotationError
-from .numnorm import RuleTable, default_rules, month_number, normalize_numeric
+from .numnorm import month_number, normalize_numeric
 
 log = logging.getLogger(__name__)
 
@@ -40,7 +40,6 @@ class Gazetteer:
     """
 
     entries: dict[tuple[str, ...], NeType]
-    nt_rules: RuleTable = field(default_factory=default_rules)
     _by_first: dict[str, tuple[tuple[tuple[str, ...], NeType], ...]] = field(
         init=False, repr=False, compare=False)
     _nt_memo: dict[tuple[str, str], bool] = field(
@@ -80,7 +79,7 @@ class Gazetteer:
     def _is_nt_token(self, token: str, lang: str) -> bool:
         is_nt = self._nt_memo.get((token, lang))
         if is_nt is None:
-            is_nt = (bool(normalize_numeric(token, lang, self.nt_rules))
+            is_nt = (bool(normalize_numeric(token, lang))
                      or month_number(token, lang) is not None)
             self._nt_memo[(token, lang)] = is_nt
         return is_nt

@@ -279,25 +279,23 @@ def restore_corpus(sentences: Sequence[Sentence], symbol_map: dict[int, Sequence
     Entries for a sentence id the output does not have count as
     unrealized, with one warning for them all.
 
-    The translator is called once per distinct PER/LOC surface that the
-    table misses, first occurrence first, through `align.decode_once` (jobs
-    > 1 spreads those calls over processes, so it must then pickle). This is
-    exact: translators are deterministic, and `restore` asks for exactly
-    these surfaces, so a raising translator still fails on the first one in
-    corpus order.
+    The PER/LOC surfaces that the table misses go to `align.decode_once`
+    as they come, which calls the translator once per distinct one, first
+    occurrence first (jobs > 1 spreads those calls over processes, so it
+    must then pickle). This is exact: translators are deterministic, and
+    `restore` asks for exactly these surfaces, so a raising translator still
+    fails on the first one in corpus order.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if translator is not None:
-        surfaces: dict[str, None] = {}
-        for sid, sentence in enumerate(sentences):
-            by_symbol = {e.symbol: e for e in symbol_map.get(sid, ())}
-            for token in sentence.tokens:
-                entry = by_symbol.get(token) if PLACEHOLDER_RE.match(token) else None
-                if (entry is not None and entry.ne_type is not NeType.NT
-                        and not table.best(entry.surface)):
-                    surfaces[entry.surface] = None
-        translator = decode_once(translator, list(surfaces), jobs)
+        def missed():  # the surfaces `restore` asks the translator for, in corpus order
+            for sid, sentence in enumerate(sentences):
+                by_symbol = {e.symbol: e for e in symbol_map.get(sid, ())}
+                for entry in map(by_symbol.get, filter(PLACEHOLDER_RE.match, sentence.tokens)):
+                    if entry and entry.ne_type is not NeType.NT and not table.best(entry.surface):
+                        yield entry.surface
+        translator = decode_once(translator, missed(), jobs)
     totals = RestoreReport()
     restored = []
     for sid, sentence in enumerate(sentences):
@@ -326,7 +324,7 @@ def _realize(entry: SymbolEntry, table: LexicalTable, translator,
         return render_nt(entry.surface, src_lang, tgt_lang)
     if translator is not None:
         for candidate, _ in translator(entry.surface):
-            if candidate:
+            if candidate.strip():  # a blank candidate translates nothing
                 report.from_model += 1
                 return candidate
     return None

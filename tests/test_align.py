@@ -166,8 +166,8 @@ def test_raising_the_threshold_keeps_the_match_or_drops_it(data, ne_type, nt_sur
                                                            thresholds, max_ngram):
     candidates = data.draw(st.lists(st.tuples(candidate(tokens), st.floats(-9.0, 0.0)),
                                     min_size=1, max_size=4))
-    if ne_type is not NeType.NT and not any(c for c, _ in candidates):
-        candidates.append(("bolin", -1.0))  # an empty k-best is a caller error
+    if ne_type is not NeType.NT and not any(c.strip() for c, _ in candidates):
+        candidates.append(("bolin", -1.0))  # a blank k-best is a caller error
     surface = nt_surface if ne_type is NeType.NT else "某某"
     ne = NeSpan(0, "source", 0, 1, ne_type, surface)
     lo, hi = sorted(thresholds)
@@ -190,7 +190,7 @@ def reference_match_span(ne, candidates, other_tokens, cfg, *, ne_lang, other_la
         def similarity(cand, text):
             return numnorm.skeleton_similarity(cand, numnorm.normalize_numeric(text, other_lang))
     else:
-        scored = [c for c, _ in candidates if c]
+        scored = [c for c, _ in candidates if c.strip()]
         if not scored:
             raise ConfigError(
                 f"no translation candidates for {ne.ne_type.value} span {ne.surface!r}")
@@ -679,20 +679,24 @@ def test_align_corpus_checks_jobs_before_recognizing():
     assert seen == []
 
 
-def test_align_corpus_sends_only_the_decodes_to_pmap(monkeypatch):
+def test_align_corpus_sends_only_the_decodes_to_workers(monkeypatch):
     synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=3, noise=0.0)
     recognizer = AnnotationRecognizer(synthetic.annotations)
     s2t = DictTranslator({p.src: [(p.tgt, 0.0)] for p in synthetic.train_pairs})
     t2s = DictTranslator({p.tgt: [(p.src, 0.0)] for p in synthetic.train_pairs})
     want = align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=1)
     calls = []
-    fan_out = align.pmap
 
-    def recording(func, items, jobs):
-        calls.append((func, list(items), jobs))
-        return fan_out(func, items, jobs)
+    class RecordingPool(align.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.workers = max_workers
 
-    monkeypatch.setattr(align, "pmap", recording)
+        def map(self, fn, items, **kwargs):
+            calls.append((fn, list(items), self.workers))
+            return super().map(fn, items, **kwargs)
+
+    monkeypatch.setattr(align, "ProcessPoolExecutor", RecordingPool)
     assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=2) == want
     surfaces = {"source": {}, "target": {}}
     for p in synthetic.corpus:
@@ -921,6 +925,25 @@ def test_overlong_comparisons_warn_at_every_repeat(caplog):
     assert len(warnings) == 3 * 3  # the long candidate, the NT span on each side
     # all 9 ranges with the long candidate, the 5 through the long token with "bolin"
     assert sum("14 comparison(s) for PER span '波林'" in w for w in warnings) == 3
+
+
+@pytest.mark.parametrize("blank", [" ", "   ", "\t", "\u3000"])
+def test_a_blank_candidate_matches_nothing(blank):
+    # a lone space once matched the joiner of any two-token range at score 1.0
+    ne = per_span(0, "source", 0, 1, "某某")
+    tokens = ["the", "delegation", "arrived"]
+    assert match_span(ne, [(blank, 0.0), ("arrived", -1.0)], tokens, CFG,
+                      ne_lang="zh", other_lang="en") == (2, 3, 1.0)
+    assert (align.pack_candidates([(blank, 0.0), ("arrived", -1.0)], 0.6)
+            == align.pack_candidates([("arrived", -1.0)], 0.6))
+
+
+@pytest.mark.parametrize("candidates", [[(" ", 0.0)], [("", 0.0), ("  ", -1.0)]])
+def test_an_all_blank_k_best_is_no_candidate(candidates):
+    ne = per_span(0, "source", 0, 1, "某某")
+    with pytest.raises(ConfigError, match="^no translation candidates for PER span '某某'$"):
+        match_span(ne, candidates, ["the", "delegation", "arrived"], CFG,
+                   ne_lang="zh", other_lang="en")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -509,22 +509,29 @@ def test_restore_sends_only_the_model_decode_to_workers(capsys, work, tiny_model
     from netrans import cli
 
     calls = []
-    fan_out = cli.align.pmap
 
-    def recording(fn, items, jobs, *args, **kwargs):
-        calls.append((fn, list(items), jobs))
-        return fan_out(fn, items, jobs, *args, **kwargs)
+    class RecordingPool(cli.align.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.workers = max_workers
+
+        def map(self, fn, items, **kwargs):
+            calls.append((fn, list(items), self.workers))
+            return super().map(fn, items, **kwargs)
 
     # the model decode fans out through align.decode_once
-    monkeypatch.setattr(cli.align, "pmap", recording)
+    monkeypatch.setattr(cli.align, "ProcessPoolExecutor", RecordingPool)
     mt = work / "jobs_mt.en"
-    mt.write_text("PER1 arrived\nPER1 left PER2\nwe met PER1 on NT1\n", encoding="utf-8")
+    mt.write_text("PER1 arrived\nPER1 left PER2\nwe met PER1 and PER2 on NT1\n",
+                  encoding="utf-8")
     symmap = work / "jobs_symbols.tsv"
+    # two unseen names, so two jobs start a pool, one the table knows, and a number
     symmap.write_text("0\tPER1\t安马\tPER\n1\tPER1\t安马\tPER\n1\tPER2\t巴林\tLOC\n"
-                      "2\tPER1\t安马\tPER\n2\tNT1\t五月\tNT\n", encoding="utf-8")
+                      "2\tPER1\t安马\tPER\n2\tPER2\t马安\tPER\n2\tNT1\t五月\tNT\n",
+                      encoding="utf-8")
     lex = work / "jobs_lex.tsv"
     lex.write_text("巴林\tbahrain\t1\n", encoding="utf-8")
-    for model_flags, decodes in (([], 0), (["--model", str(tiny_model)], 1)):
+    for model_flags in ([], ["--model", str(tiny_model)]):
         results = []
         for jobs in ("1", "2"):
             calls.clear()
@@ -533,10 +540,9 @@ def test_restore_sends_only_the_model_decode_to_workers(capsys, work, tiny_model
                                 "--lex", str(lex), *model_flags, "--src-lang", "zh",
                                 "--tgt-lang", "en", "--out", str(out), "--jobs", jobs)
             assert rc == 0
-            assert len(calls) == decodes
+            pooled = model_flags and jobs == "2"
+            assert [call[1:] for call in calls] == ([(["安马", "马安"], 2)] if pooled else [])
             results.append((out.read_bytes(), report))
-        if decodes:
-            assert calls[0][1:] == (["安马"], 2)
         assert results[0] == results[1]
 
 
@@ -752,7 +758,7 @@ def test_replace_output_is_independent_of_jobs(work, nt_corpus, aligned_nt):
 
 
 def test_replace_starts_no_worker_process(work, nt_corpus, aligned_nt, monkeypatch):
-    import netrans.parallel
+    from netrans import align
 
     zh, en, ann = nt_corpus
     alignments, _ = aligned_nt
@@ -775,7 +781,7 @@ def test_replace_starts_no_worker_process(work, nt_corpus, aligned_nt, monkeypat
     def no_pool(*args, **kwargs):
         raise AssertionError("replace started a process pool")
 
-    monkeypatch.setattr(netrans.parallel, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(align, "ProcessPoolExecutor", no_pool)
     for mode, files in sequential.items():
         assert len(files) == (3 if mode == "corpus" else 2)
         assert b"NT" in files[-1]  # symbols were written

@@ -356,6 +356,26 @@ def test_model_candidates_skip_empty_strings():
     assert report.from_model == 1
 
 
+@pytest.mark.parametrize("blank", [" ", "  ", "\t", "\u3000"])
+def test_model_candidates_skip_blank_strings(blank):
+    entries = [SymbolEntry(0, "PER1", "安娜", NeType.PER)]
+    translator = OneBest({"安娜": [(blank, -1.0), ("anna", -2.0)]})
+    restored, report = restore(Sentence(("PER1",), "en"), entries, LexicalTable(),
+                               translator, src_lang="zh", tgt_lang="en")
+    assert restored.tokens == ("anna",)
+    assert report.from_model == 1
+
+
+def test_an_all_blank_k_best_leaves_the_symbol():
+    # a blank candidate once restored to no token: an empty line, which no reader takes
+    entries = [SymbolEntry(0, "PER1", "安娜", NeType.PER)]
+    translator = OneBest({"安娜": [(" ", -1.0), ("", -2.0)]})
+    restored, report = restore(Sentence(("PER1",), "en"), entries, LexicalTable(),
+                               translator, src_lang="zh", tgt_lang="en")
+    assert restored.tokens == ("PER1",)
+    assert (report.from_model, report.unrealized) == (0, 1)
+
+
 class LoggingOneBest(OneBest):
     """OneBest that logs each surface asked for to a file, so that calls made
     in worker processes are seen too; picklable."""
