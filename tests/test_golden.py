@@ -1,11 +1,17 @@
-"""Golden outputs: every file of the table-translator pipeline, pinned by sha256.
+"""Golden outputs: every file of `netrans synth` and of the table-translator
+pipeline, pinned by sha256.
 
-The synthetic corpus goes through align -> replace (corpus and sentence
-mode) -> extract-lex -> restore with a seeded 5-best table translator in
-place of the neural one, at one and at two jobs. Each file written must hash
-to the digest committed in `golden/table_leg.sha256`. The outputs are
-strings, integers and scores printed to six decimals, so the digests hold on
-any platform. A changed digest is an output change: regenerate the file from
+`netrans synth` runs at its defaults, at a larger size and at another seed
+with one-sided annotation drops; each file it writes must hash to the digest
+committed in `golden/synth_<run>.sha256`.
+
+The synthetic corpus also goes through align -> replace (corpus and
+sentence mode) -> extract-lex -> restore with a seeded 5-best table
+translator in place of the neural one, at one and at two jobs. Each file
+written must hash to the digest committed in `golden/table_leg.sha256`.
+
+All these outputs are strings, integers and scores printed to six decimals,
+so the digests hold on any platform. A changed digest is an output change: regenerate the file from
 the listing the failure prints, and say why in CHANGES.md.
 """
 
@@ -17,10 +23,12 @@ import pytest
 
 from netrans import core, pipeline, synth
 from netrans.align import AlignConfig, align_corpus, write_alignments
+from netrans.cli import main
 from netrans.core import NeType
 from netrans.ner import AnnotationRecognizer
 
-DIGESTS = Path(__file__).parent / "golden" / "table_leg.sha256"
+GOLDEN = Path(__file__).parent / "golden"
+DIGESTS = GOLDEN / "table_leg.sha256"
 LATIN = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -116,3 +124,18 @@ def test_table_leg_outputs_match_the_committed_digests(tmp_path, jobs):
     got = digest_listing(tmp_path)
     assert got == DIGESTS.read_text(encoding="utf-8"), f"digests now:\n{got}"
 
+
+
+SYNTH_RUNS = {
+    "defaults": [],
+    "pairs1000": ["--pairs", "1000", "--sentences", "2000"],
+    "seed7_drop": ["--seed", "7", "--oneside-drop", "0.3"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(SYNTH_RUNS))
+def test_synth_outputs_match_the_committed_digests(tmp_path, capsys, run):
+    assert main(["synth", "--out-dir", str(tmp_path), *SYNTH_RUNS[run]]) == 0
+    got = digest_listing(tmp_path)
+    assert got == (GOLDEN / f"synth_{run}.sha256").read_text(encoding="utf-8"), \
+        f"digests now:\n{got}"
