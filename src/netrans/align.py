@@ -27,13 +27,15 @@ deterministic function, so one result serves every occurrence.
 `pipeline.restore_corpus` and `netrans translate-ne` all hand it their
 surfaces as they come. It keeps the first occurrence of each and is the only
 place that starts worker processes; they return the decodes in input order,
-so the result is the same for any job count.
+so the result is the same for any job count. The pool's modules
+(`multiprocessing`) load when the first pool starts, so a run that decodes
+in-process never imports them.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -425,7 +427,7 @@ def decode_once(translator: Translator, surfaces: Iterable[str], jobs: int = 1) 
         decoded = list(map(translator, distinct))
     else:
         workers = min(jobs, len(distinct))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             decoded = list(pool.map(translator, distinct,
                                     chunksize=max(1, len(distinct) // (workers * 4))))
     return dict(zip(distinct, decoded)).__getitem__

@@ -14,6 +14,12 @@ each distinct surface once. `--jobs` spreads the model decodes of `align`
 and `restore` over processes; matching, replacing and restoring run in one
 process. `replace` accepts `--jobs` for symmetry. Outputs are
 byte-identical for any job count.
+
+Each subcommand loads only what it runs. The neural translator, and with it
+numpy, is imported by `train-ne`, `translate-ne`, `score-ne`, `gradcheck`,
+and by `align` and `restore` when given a model, at its first decode; every
+other subcommand starts without it. The worker pool loads when `--jobs`
+first starts one.
 """
 
 from __future__ import annotations
@@ -22,14 +28,15 @@ import argparse
 import logging
 import sys
 from functools import partial
+from typing import TYPE_CHECKING
 
 from . import __version__, align, core, numnorm, pipeline, simdist, synth
 from .core import NeType
 from .errors import ConfigError, ContractError, CorpusError, DataError, DivergenceError
-from .neural import ModelConfig, gradient_check, load_model, make_model, oriented, save_model
-from .neural import train as train_model
-from .neural import translate as beam_translate
 from .ner import AnnotationRecognizer, Gazetteer
+
+if TYPE_CHECKING:
+    from .neural import ModelConfig
 
 log = logging.getLogger(__name__)
 
@@ -55,6 +62,8 @@ def _require(args, *names) -> None:
 
 
 def _model_config(args) -> ModelConfig:
+    from .neural import ModelConfig
+
     return ModelConfig(hidden_size=args.hidden, embed_size=args.embed,
                        max_decode_len=args.max_decode_len, learning_rate=args.lr,
                        adadelta_rho=args.rho, adadelta_eps=args.eps, seed=args.seed)
@@ -73,6 +82,9 @@ def _add_model_flags(p) -> None:
 
 
 def cmd_train_ne(args) -> int:
+    from .neural import save_model
+    from .neural import train as train_model
+
     _require(args, "pairs", "direction", "out")
     pairs = core.read_ne_pairs(args.pairs)
     dev = core.read_ne_pairs(args.dev) if args.dev else None
@@ -97,6 +109,9 @@ def cmd_train_ne(args) -> int:
 
 
 def cmd_translate_ne(args) -> int:
+    from .neural import load_model
+    from .neural import translate as beam_translate
+
     _require(args, "model", "input")
     if not 1 <= args.k <= args.beam:
         raise ConfigError(f"--k must be between 1 and --beam ({args.beam}), got {args.k}")
@@ -116,6 +131,8 @@ def cmd_translate_ne(args) -> int:
 
 
 def cmd_score_ne(args) -> int:
+    from .neural import load_model
+
     _require(args, "model", "pairs")
     model = load_model(args.model)
     rows = []
@@ -127,6 +144,8 @@ def cmd_score_ne(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .neural import gradient_check, make_model, oriented
+
     if args.pairs:
         pairs = core.read_ne_pairs(args.pairs)
     else:

@@ -44,6 +44,11 @@ class NeType(Enum):
     LOC = "LOC"
     NT = "NT"
 
+    # Members are singletons, so equality is identity and the identity hash
+    # agrees with it; Enum's own `hash(self._name_)` runs as Python code at
+    # every dict or set lookup of a span, pair or link.
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, text: str) -> "NeType":
         t = text.strip().upper()

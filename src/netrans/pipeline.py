@@ -340,17 +340,19 @@ def write_symbol_map(entries: Sequence[SymbolEntry], path) -> None:
 
 def read_symbol_map(path) -> dict[int, list[SymbolEntry]]:
     by_sentence: dict[int, list[SymbolEntry]] = {}
+    seen: set[tuple[int, str]] = set()  # (sentence id, symbol) of every entry read
 
     def add(cols: list[str]) -> None:
         entry = SymbolEntry(int(cols[0]), cols[1], cols[2], NeType.parse(cols[3]),
                             cols[4] if len(cols) == 5 else "")
         if not PLACEHOLDER_RE.match(entry.symbol):
             raise ValueError(f"malformed symbol {entry.symbol!r}")
-        entries = by_sentence.setdefault(entry.sentence_id, [])
-        if any(e.symbol == entry.symbol for e in entries):
+        key = (entry.sentence_id, entry.symbol)
+        if key in seen:
             raise ValueError(f"duplicate symbol {entry.symbol!r} for sentence "
                              f"{entry.sentence_id}")
-        entries.append(entry)
+        seen.add(key)
+        by_sentence.setdefault(entry.sentence_id, []).append(entry)
 
     read_rows(path, (4, 5), add)
     return by_sentence

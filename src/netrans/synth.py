@@ -36,6 +36,10 @@ _EN_MONTHS = ("january", "february", "march", "april", "may", "june", "july",
 _ZH_MONTHS = ("一月", "二月", "三月", "四月", "五月", "六月", "七月", "八月",
               "九月", "十月", "十一月", "十二月")
 
+# walked for the per-type dicts of every sentence; iterating the Enum itself
+# runs Python code at each pass
+_NE_TYPES = tuple(NeType)
+
 # slot markers are NeType members; same-type slots correspond by order across sides
 _TEMPLATES = (
     ((NeType.PER, "昨天", "发表", "讲话"),
@@ -165,7 +169,7 @@ def make_corpus(n_pairs: int = 50, n_sentences: int = 200, seed: int = 42,
     plant_pairs = [NePair(" ".join(zh), " ".join(en), ne_type)
                    for ne_type, zh, en in plants]
 
-    by_type: dict[NeType, list[int]] = {t: [] for t in NeType}
+    by_type: dict[NeType, list[int]] = {t: [] for t in _NE_TYPES}
     for i, (ne_type, _, _) in enumerate(plants):
         by_type[ne_type].append(i)
 
@@ -188,14 +192,14 @@ def make_corpus(n_pairs: int = 50, n_sentences: int = 200, seed: int = 42,
     annotations = []
     gold = []
     for sid, (zh_side, en_side) in enumerate(plan):
-        chosen: dict[NeType, list[int]] = {t: [] for t in NeType}
+        chosen: dict[NeType, list[int]] = {t: [] for t in _NE_TYPES}
         for item in zh_side:
             if isinstance(item, NeType):
                 queue = queues[item]
                 chosen[item].append(queue.pop() if queue else rng.choice(by_type[item]))
 
         def expand(side, picks: dict[NeType, list[int]], token_index: int):
-            cursor = {t: 0 for t in NeType}
+            cursor = {t: 0 for t in _NE_TYPES}
             tokens: list[str] = []
             ranges: list[tuple[NeType, tuple[int, int]]] = []
             for item in side:
@@ -216,10 +220,10 @@ def make_corpus(n_pairs: int = 50, n_sentences: int = 200, seed: int = 42,
             Sentence(tuple(zh_tokens), ZH), Sentence(tuple(en_tokens), EN), sid))
 
         # the i-th slot of a type on one side corresponds to the i-th on the other
-        en_of_type: dict[NeType, list[tuple[int, int]]] = {t: [] for t in NeType}
+        en_of_type: dict[NeType, list[tuple[int, int]]] = {t: [] for t in _NE_TYPES}
         for ne_type, en_range in en_ranges:
             en_of_type[ne_type].append(en_range)
-        taken = {t: 0 for t in NeType}
+        taken = {t: 0 for t in _NE_TYPES}
         for ne_type, (zs, ze) in zh_ranges:
             es, ee = en_of_type[ne_type][taken[ne_type]]
             taken[ne_type] += 1

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import logging
 import pickle
@@ -687,7 +688,7 @@ def test_align_corpus_sends_only_the_decodes_to_workers(monkeypatch):
     want = align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=1)
     calls = []
 
-    class RecordingPool(align.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             super().__init__(max_workers)
             self.workers = max_workers
@@ -696,7 +697,7 @@ def test_align_corpus_sends_only_the_decodes_to_workers(monkeypatch):
             calls.append((fn, list(items), self.workers))
             return super().map(fn, items, **kwargs)
 
-    monkeypatch.setattr(align, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=2) == want
     surfaces = {"source": {}, "target": {}}
     for p in synthetic.corpus:
@@ -705,6 +706,19 @@ def test_align_corpus_sends_only_the_decodes_to_workers(monkeypatch):
                 s.surface for s in recognizer.recognize(sentence, p.id, side)
                 if s.ne_type is not NeType.NT))
     assert calls == [(s2t, list(surfaces["source"]), 2), (t2s, list(surfaces["target"]), 2)]
+
+
+def test_align_corpus_through_a_real_pool_equals_one_job():
+    synthetic = synth.make_corpus(n_pairs=12, n_sentences=40, seed=7, noise=0.0,
+                                  oneside_drop=0.3)
+    # spans whose types crossed a pickle round trip, as a worker's would
+    recognizer = AnnotationRecognizer(pickle.loads(pickle.dumps(synthetic.annotations)))
+    s2t = DictTranslator({p.src: [(p.tgt, 0.0)] for p in synthetic.train_pairs})
+    t2s = DictTranslator({p.tgt: [(p.src, 0.0)] for p in synthetic.train_pairs})
+    alignments, pairs = align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=1)
+    assert {a.ne_type for a in alignments} == set(NeType)
+    assert align_corpus(synthetic.corpus, recognizer, CFG, s2t, t2s, jobs=2) == (
+        alignments, pairs)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

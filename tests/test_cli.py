@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -232,16 +233,16 @@ def test_translate_ne_rejects_empty_lines(capsys, work, tiny_model):
 
 
 def test_translate_ne_decodes_each_distinct_line_once(capsys, work, tiny_model, monkeypatch):
-    from netrans import cli
+    from netrans import neural
 
     calls = []
-    decode = cli.beam_translate
+    decode = neural.translate
 
     def counting(model, text, *args, **kwargs):
         calls.append(text)
         return decode(model, text, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "beam_translate", counting)
+    monkeypatch.setattr(neural, "translate", counting)
     lines = ["巴林", "安娜", "巴林", " 安娜 ", "马克", "巴林"]
     inputs = work / "repeated_inputs.txt"
     inputs.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -265,10 +266,10 @@ def test_translate_ne_decodes_each_distinct_line_once(capsys, work, tiny_model, 
 
 
 def test_translate_ne_checks_every_line_before_decoding(capsys, work, tiny_model, monkeypatch):
-    from netrans import cli
+    from netrans import neural
 
     calls = []
-    monkeypatch.setattr(cli, "beam_translate", lambda *args: calls.append(args))
+    monkeypatch.setattr(neural, "translate", lambda *args: calls.append(args))
     inputs = work / "late_empty_line.txt"
     inputs.write_text("巴林\n安娜\n  \n马克\n", encoding="utf-8")
     out = work / "late_empty_unused.tsv"
@@ -506,11 +507,9 @@ def test_restore_decodes_each_surface_once(capsys, work, tiny_model, monkeypatch
 
 def test_restore_sends_only_the_model_decode_to_workers(capsys, work, tiny_model,
                                                         monkeypatch):
-    from netrans import cli
-
     calls = []
 
-    class RecordingPool(cli.align.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             super().__init__(max_workers)
             self.workers = max_workers
@@ -520,7 +519,7 @@ def test_restore_sends_only_the_model_decode_to_workers(capsys, work, tiny_model
             return super().map(fn, items, **kwargs)
 
     # the model decode fans out through align.decode_once
-    monkeypatch.setattr(cli.align, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     mt = work / "jobs_mt.en"
     mt.write_text("PER1 arrived\nPER1 left PER2\nwe met PER1 and PER2 on NT1\n",
                   encoding="utf-8")
@@ -758,8 +757,6 @@ def test_replace_output_is_independent_of_jobs(work, nt_corpus, aligned_nt):
 
 
 def test_replace_starts_no_worker_process(work, nt_corpus, aligned_nt, monkeypatch):
-    from netrans import align
-
     zh, en, ann = nt_corpus
     alignments, _ = aligned_nt
 
@@ -781,7 +778,7 @@ def test_replace_starts_no_worker_process(work, nt_corpus, aligned_nt, monkeypat
     def no_pool(*args, **kwargs):
         raise AssertionError("replace started a process pool")
 
-    monkeypatch.setattr(align, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     for mode, files in sequential.items():
         assert len(files) == (3 if mode == "corpus" else 2)
         assert b"NT" in files[-1]  # symbols were written
@@ -886,3 +883,52 @@ def test_repeated_invocations_print_identical_output(capsys, work, tiny_model):
         assert rc == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# -- start-up: each process loads only what it runs ---------------------------
+
+
+def _loaded_in_fresh_process(code: str, watched) -> list[str]:
+    """Which of the `watched` modules a fresh interpreter holds after `code`,
+    read from the last line it prints."""
+    env = dict(os.environ, PYTHONPATH=str(Path(netrans.__file__).parents[1]))
+    probe = f"{code}\nimport sys\nprint(' '.join(m for m in {tuple(watched)!r} if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("module, unloaded", [
+    ("netrans.cli", ("numpy", "multiprocessing")),
+    ("netrans.align", ("multiprocessing",)),
+    ("netrans.pipeline", ("multiprocessing",)),
+    ("netrans.synth", ("multiprocessing",)),
+])
+def test_importing_loads_neither_numpy_nor_the_worker_pool(module, unloaded):
+    assert _loaded_in_fresh_process(f"import {module}", unloaded) == []
+
+
+def test_model_free_subcommands_run_without_numpy_or_the_worker_pool(tmp_path, nt_corpus):
+    d = tmp_path
+    zh, en, ann = nt_corpus  # numeric entities only, so align needs no model
+    runs = [
+        ["synth", "--out-dir", d, "--pairs", "12", "--sentences", "40"],
+        ["sim", "巴林", "巴森"],
+        ["numnorm", "十月五日"],
+        ["align", "--src", zh, "--tgt", en, "--src-lang", "zh", "--tgt-lang", "en",
+         "--annotations", ann, "--jobs", "2",
+         "--out-alignments", d / "nt.tsv", "--out-pairs", d / "nt_pairs.tsv"],
+        ["eval-align", "--pred", d / "gold_alignments.tsv", "--gold", d / "gold_alignments.tsv"],
+        ["eval-ne", "--hyp", d / "plant_pairs.tsv", "--ref", d / "plant_pairs.tsv"],
+        ["extract-lex", "--pairs", d / "plant_pairs.tsv", "--out", d / "lex.tsv"],
+        ["replace", "--alignments", d / "gold_alignments.tsv", "--src", d / "corpus.zh",
+         "--tgt", d / "corpus.en", "--src-lang", "zh", "--tgt-lang", "en", "--jobs", "2",
+         "--out-src", d / "r.zh", "--out-tgt", d / "r.en", "--out-symmap", d / "symbols.tsv"],
+        ["restore", "--input", d / "r.en", "--symmap", d / "symbols.tsv", "--lex", d / "lex.tsv",
+         "--src-lang", "zh", "--tgt-lang", "en", "--out", d / "restored.en", "--jobs", "2"],
+    ]
+    calls = "".join(f"assert main({[str(arg) for arg in argv]!r}) == 0\n" for argv in runs)
+    code = f"from netrans.cli import main\n{calls}"
+    assert _loaded_in_fresh_process(code, ("numpy", "multiprocessing")) == []
+    assert (d / "restored.en").read_bytes() == (d / "corpus.en").read_bytes()

@@ -1,3 +1,7 @@
+import concurrent.futures
+import copy
+import multiprocessing
+import pickle
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -38,6 +42,34 @@ def test_ne_type_rejects_org_and_unknown():
         NeType.parse("ORG")
     with pytest.raises(ValueError, match="unknown"):
         NeType.parse("GPE")
+
+
+def test_ne_type_members_work_as_dict_and_set_keys_however_obtained():
+    parsed = [NeType.parse(text) for text in ("per", " LOC ", "N/T")]
+    round_tripped = [pickle.loads(pickle.dumps(t)) for t in NeType]
+    copied = [copy.deepcopy(t) for t in NeType]
+    by_type = {t: t.value for t in NeType}
+    for members in (parsed, round_tripped, copied):
+        assert members == list(NeType)
+        assert [by_type[t] for t in members] == ["PER", "LOC", "NT"]
+        assert set(members) == set(NeType) and len(set(members + list(NeType))) == 3
+    span = NeSpan(0, "source", 0, 1, NeType.PER, "安娜")
+    assert {span: 1}[pickle.loads(pickle.dumps(span))] == 1
+    assert {span: 1}[replace(span, ne_type=NeType.parse("per"))] == 1
+
+
+def _parse_types(texts):
+    return {NeType.parse(text): text for text in texts}
+
+
+def test_ne_type_keys_come_back_from_a_fresh_worker_process():
+    # a spawned worker has its own members, at other addresses; the keys it
+    # sends back are unpickled as this process's members
+    spawn = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        got = pool.submit(_parse_types, ["per", "LOC", "n/t"]).result(timeout=120)
+    assert got == {NeType.PER: "per", NeType.LOC: "LOC", NeType.NT: "n/t"}
+    assert [got[t] for t in NeType] == ["per", "LOC", "n/t"]
 
 
 def test_sentence_rejects_whitespace_tokens():

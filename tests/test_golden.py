@@ -11,8 +11,9 @@ translator in place of the neural one, at one and at two jobs. Each file
 written must hash to the digest committed in `golden/table_leg.sha256`.
 
 All these outputs are strings, integers and scores printed to six decimals,
-so the digests hold on any platform. A changed digest is an output change: regenerate the file from
-the listing the failure prints, and say why in CHANGES.md.
+so the digests hold on any platform. A changed digest is an output change:
+regenerate the file from the listing the failure prints, and say why in
+CHANGES.md.
 """
 
 import hashlib
@@ -123,7 +124,6 @@ def test_table_leg_outputs_match_the_committed_digests(tmp_path, jobs):
     run_table_leg(tmp_path, jobs)
     got = digest_listing(tmp_path)
     assert got == DIGESTS.read_text(encoding="utf-8"), f"digests now:\n{got}"
-
 
 
 SYNTH_RUNS = {

@@ -1,8 +1,9 @@
 """The fan-out of `align.decode_once`, the one place that starts worker processes."""
 
+import concurrent.futures
+
 import pytest
 
-from netrans import align
 from netrans.align import decode_once
 from netrans.errors import ConfigError
 
@@ -33,7 +34,7 @@ class FakePool:
 def fake_pool(monkeypatch):
     FakePool.started = []
     FakePool.mapped = []
-    monkeypatch.setattr(align, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return FakePool.started
 
 

@@ -586,6 +586,19 @@ def test_symbol_map_read_rejects_malformed_rows(tmp_path, line, complaint):
         read_symbol_map(path)
 
 
+def test_symbol_map_finds_a_duplicate_among_many_symbols_of_one_sentence(tmp_path):
+    # each row is checked against a set, not against the sentence's earlier rows
+    rows = [f"3\tPER{i}\t安娜\tPER" for i in range(1, 20_001)]
+    path = tmp_path / "symbols.tsv"
+    path.write_text("\n".join(rows + ["4\tPER7\t马克\tPER"]) + "\n", encoding="utf-8")
+    by_sentence = read_symbol_map(path)  # the same symbol in another sentence is no duplicate
+    assert [len(group) for group in by_sentence.values()] == [20_000, 1]
+    path.write_text("\n".join(rows + ["3\tPER7\t马克\tPER"]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_symbol_map(path)
+    assert str(err.value) == f"{path}:20001: duplicate symbol 'PER7' for sentence 3"
+
+
 def test_symbol_map_skips_blank_lines(tmp_path):
     path = tmp_path / "symbols.tsv"
     path.write_text("\n0\tPER1\t安娜\tPER\n\n", encoding="utf-8")
