@@ -9,6 +9,9 @@ The synthetic corpus also goes through align -> replace (corpus and
 sentence mode) -> extract-lex -> restore with a seeded 5-best table
 translator in place of the neural one, at one and at two jobs. Each file
 written must hash to the digest committed in `golden/table_leg.sha256`.
+The gazetteer leg runs the same stages over a larger corpus recognized by a
+`Gazetteer` of its PER/LOC surfaces and the N/T token rules, and must hash
+to `golden/gazetteer_leg.sha256`.
 
 All these outputs are strings, integers and scores printed to six decimals,
 so the digests hold on any platform. A changed digest is an output change:
@@ -26,10 +29,9 @@ from netrans import core, pipeline, synth
 from netrans.align import AlignConfig, align_corpus, write_alignments
 from netrans.cli import main
 from netrans.core import NeType
-from netrans.ner import AnnotationRecognizer
+from netrans.ner import AnnotationRecognizer, Gazetteer
 
 GOLDEN = Path(__file__).parent / "golden"
-DIGESTS = GOLDEN / "table_leg.sha256"
 LATIN = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -70,10 +72,32 @@ def _translators(plants, seed: int) -> tuple[KBestTable, KBestTable]:
     return KBestTable(s2t), KBestTable(t2s)
 
 
+def _gazetteer(plants) -> Gazetteer:
+    """Every PER/LOC surface of both languages, less those planted as both types."""
+    types: dict[str, set[NeType]] = {}
+    for p in plants:
+        if p.ne_type is not NeType.NT:
+            for surface in (p.src, p.tgt):
+                types.setdefault(surface, set()).add(p.ne_type)
+    return Gazetteer({tuple(surface.split()): ne_type
+                      for surface, kinds in types.items() if len(kinds) == 1
+                      for ne_type in kinds})
+
+
 def run_table_leg(out: Path, jobs: int) -> None:
-    """Write every file of the pipeline under `out`, as the CLI chains the stages."""
+    """The pipeline over the default corpus, recognized by its annotations."""
     sc = synth.make_corpus(50, 200, seed=42)
-    recognizer = AnnotationRecognizer(sc.annotations)
+    run_leg(out, jobs, sc, AnnotationRecognizer(sc.annotations))
+
+
+def run_gazetteer_leg(out: Path, jobs: int) -> None:
+    """The pipeline over a larger corpus, recognized by gazetteer and N/T rules."""
+    sc = synth.make_corpus(1000, 2000, seed=42, min_occurrences=1)
+    run_leg(out, jobs, sc, _gazetteer(sc.plant_pairs))
+
+
+def run_leg(out: Path, jobs: int, sc: synth.SynthCorpus, recognizer) -> None:
+    """Write every file of the pipeline under `out`, as the CLI chains the stages."""
     s2t, t2s = _translators(sc.plant_pairs, seed=42)
 
     alignments, ne_pairs = align_corpus(sc.corpus, recognizer, AlignConfig(), s2t, t2s,
@@ -119,11 +143,21 @@ def digest_listing(out: Path) -> str:
                    for path in sorted(out.iterdir()))
 
 
+def _check_leg(run, out: Path, jobs: int, leg: str) -> None:
+    run(out, jobs)
+    got = digest_listing(out)
+    assert got == (GOLDEN / f"{leg}.sha256").read_text(encoding="utf-8"), \
+        f"digests now:\n{got}"
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_table_leg_outputs_match_the_committed_digests(tmp_path, jobs):
-    run_table_leg(tmp_path, jobs)
-    got = digest_listing(tmp_path)
-    assert got == DIGESTS.read_text(encoding="utf-8"), f"digests now:\n{got}"
+    _check_leg(run_table_leg, tmp_path, jobs, "table_leg")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_gazetteer_leg_outputs_match_the_committed_digests(tmp_path, jobs):
+    _check_leg(run_gazetteer_leg, tmp_path, jobs, "gazetteer_leg")
 
 
 SYNTH_RUNS = {
