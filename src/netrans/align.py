@@ -183,7 +183,7 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     normalizing the space-joined text, because no pattern of the packaged
     table holds whitespace: no match crosses a space, and a letter after a
     space is at a word start, as at the start of a text. The result is the
-    one `numnorm.skeleton_similarity` gives per range, exactly:
+    one `numnorm.nt_similarity` gives per range, exactly:
     - skeletons are digits, so folding leaves the candidate as it is and
       its pack has no space mask;
     - `(m - unmatched) / m` is `lcs / len(wanted)`, the same integers
@@ -192,7 +192,7 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     - a token with an empty skeleton leaves `v` as it is, so its ranges
       score what the one-token-narrower range did, or 0.
     A comparison is over-long, and counted, exactly where
-    `skeleton_similarity` raises: one skeleton exceeds `MAX_CHARS` and the
+    `nt_similarity` raises: one skeleton exceeds `MAX_CHARS` and the
     other is non-empty. So an over-long candidate counts one comparison
     per range with any text; for PER/LOC that is every range.
 

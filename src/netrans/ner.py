@@ -13,7 +13,7 @@ from typing import Iterable, Protocol
 
 from .core import NeSpan, NeType, Sentence, read_rows
 from .errors import AnnotationError
-from .numnorm import month_number, normalize_numeric
+from .numnorm import normalize_numeric
 
 log = logging.getLogger(__name__)
 
@@ -29,8 +29,8 @@ class Gazetteer:
     """Fixed surface list plus numeric/temporal token rules.
 
     Matching is longest-entry-first (ties to the leftmost occurrence), then
-    maximal runs of numeric or month tokens over the uncovered remainder
-    become NT spans.
+    maximal runs of tokens with a digit skeleton (numerals, number words,
+    month names) over the uncovered remainder become NT spans.
 
     Construction indexes ``entries`` by first token, so each sentence
     position tries only the entries that start with its token.  The index
@@ -79,8 +79,7 @@ class Gazetteer:
     def _is_nt_token(self, token: str, lang: str) -> bool:
         is_nt = self._nt_memo.get((token, lang))
         if is_nt is None:
-            is_nt = (bool(normalize_numeric(token, lang))
-                     or month_number(token, lang) is not None)
+            is_nt = bool(normalize_numeric(token, lang))
             self._nt_memo[(token, lang)] = is_nt
         return is_nt
 

@@ -1,20 +1,30 @@
 import random
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netrans.errors import ParseError
+from netrans import numnorm
+from netrans.core import NeType, Sentence, read_rows
+from netrans.ner import Gazetteer
 from netrans.numnorm import (
     DIGITS,
-    RuleTable,
-    default_rules,
+    MONTH_NAMES,
     month_name,
     month_number,
     normalize_numeric,
     nt_similarity,
 )
+
+PACKAGED = Path(numnorm.__file__).parent / "data" / "numnorm_rules.tsv"
+PACKAGED_ROWS = read_rows(PACKAGED, (3,), tuple, comments=True)
+
+
+def normalize_with(rows, text, lang):
+    """`normalize_numeric` over the rule rows `rows` in place of the packaged ones."""
+    return numnorm._skeleton(text, numnorm._rule_index(rows, lang))
 
 
 @pytest.mark.parametrize(
@@ -102,47 +112,38 @@ def test_month_name_round_trips():
     assert month_name(0, "zh") is None
 
 
-def test_custom_rule_table_replaces_packaged_rules():
-    table = RuleTable.from_rows([("x", "7", "en")])
-    # two word-initial x's fire; the run-internal one and the unruled "4" do not
-    assert normalize_numeric("x xx 4", "en", table) == "77"
-    assert normalize_numeric("4", "en", table) == ""
-
-
-def test_rule_table_rejects_malformed_file(tmp_path):
-    path = tmp_path / "rules.tsv"
-    path.write_text("one\t1\n", encoding="utf-8")
-    with pytest.raises(ParseError):
-        RuleTable.from_path(path)
-
-
 def test_default_rules_cover_both_languages():
-    table = default_rules()
-    assert {"zh", "en"} <= set(table.rules)
+    langs = {lang for _, _, lang in PACKAGED_ROWS}
+    assert {"zh", "en", "*"} == langs
+    assert normalize_numeric("三", "zh") == "3" and normalize_numeric("三", "en") == ""
+    assert normalize_numeric("three", "en") == "3" and normalize_numeric("three", "zh") == ""
 
 
 def test_universal_rules_merge_longest_first():
-    table = RuleTable.from_rows([("a", "1", "en"), ("ab", "2", "*"), ("abc", "3", "en")])
-    assert normalize_numeric("ab abc a", "en", table) == "231"
-    assert normalize_numeric("ab abc a", "zh", table) == "22"
-
-
-def test_rule_table_rejects_empty_patterns(tmp_path):
-    with pytest.raises(ValueError, match="rule row 1"):
-        RuleTable.from_rows([("x", "7", "en"), ("", "7", "en")])
-    path = tmp_path / "rules.tsv"
-    path.write_text("x\t7\ten\n\t7\ten\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=":2"):
-        RuleTable.from_path(path)
+    rows = [("a", "1", "en"), ("ab", "2", "*"), ("abc", "3", "en")]
+    assert normalize_with(rows, "ab abc a", "en") == "231"
+    assert normalize_with(rows, "ab abc a", "zh") == "22"
 
 
 def _is_ascii_letter(c):
     return "a" <= c <= "z" or "A" <= c <= "Z"
 
 
-def scan_normalize(s, lang, table):
+def scan_patterns(rows, lang):
+    """The rows of `lang` and of "*" in match order, sorted as the rule table
+    sorted them: each language's rows longest first, then by pattern, then
+    a language's own rows and the "*" rows merged by a second stable sort."""
+    def ordered(patterns):
+        return sorted(patterns, key=lambda pr: (-len(pr[0]), pr[0]))
+
+    specific = ordered([(p.lower(), r) for p, r, row_lang in rows if row_lang == lang])
+    universal = ordered([(p.lower(), r) for p, r, row_lang in rows if row_lang == "*"])
+    return ordered(specific + universal)
+
+
+def scan_normalize(s, lang, rows):
     """Reference: every pattern of the language tried at every position."""
-    patterns = table.patterns_for(lang)
+    patterns = scan_patterns(rows, lang)
     lowered = unicodedata.normalize("NFC", s).lower()
     out = []
     i = 0
@@ -160,7 +161,7 @@ def scan_normalize(s, lang, table):
     return "".join(c for c in "".join(out) if c in DIGITS)
 
 
-DEFAULT_CHARS = sorted({c for pats in default_rules().rules.values() for p, _ in pats for c in p})
+DEFAULT_CHARS = sorted({c for pattern, _, _ in PACKAGED_ROWS for c in pattern})
 NOISE = " .,%0zxOTÉé十"
 LANG = st.sampled_from(["zh", "en"])
 
@@ -169,9 +170,24 @@ LANG = st.sampled_from(["zh", "en"])
 @given(st.lists(st.text(DEFAULT_CHARS + list(NOISE), max_size=30), min_size=1, max_size=5),
        LANG)
 def test_rule_index_matches_the_scan_on_default_rules(texts, lang):
-    table = default_rules()
     for text in texts:
-        assert normalize_numeric(text, lang) == scan_normalize(text, lang, table)
+        assert normalize_numeric(text, lang) == scan_normalize(text, lang, PACKAGED_ROWS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(DEFAULT_CHARS + list(NOISE), max_size=30), min_size=1, max_size=5),
+       LANG)
+def test_skeletons_are_idempotent_under_the_packaged_rules(texts, lang):
+    for text in texts:
+        once = normalize_numeric(text, lang)
+        assert normalize_numeric(once, lang) == once
+
+
+def test_packaged_rules_keep_the_digits():
+    # what makes packaged skeletons idempotent: each of 1-9 rewrites to
+    # itself in every language, and no other pattern is all digits
+    digit_rows = [(p, r, lang) for p, r, lang in PACKAGED_ROWS if set(p) <= set("0123456789")]
+    assert sorted(digit_rows) == [(d, d, "*") for d in DIGITS]
 
 
 # a small alphabet, so patterns share prefixes and first characters; ASCII
@@ -188,9 +204,9 @@ RULE = st.tuples(st.text(PATTERN_CHARS, min_size=1, max_size=4),
        st.lists(st.text(PATTERN_CHARS + " .z2", max_size=20), min_size=1, max_size=5),
        LANG)
 def test_rule_index_matches_the_scan_on_user_tables(rows, texts, lang):
-    table = RuleTable.from_rows(rows)
+    # random rule rows, through the builder of the packaged index
     for text in texts:
-        assert normalize_numeric(text, lang, table) == scan_normalize(text, lang, table)
+        assert normalize_with(rows, text, lang) == scan_normalize(text, lang, rows)
 
 
 # the extra rules' patterns hold a non-digit, and may start with a digit
@@ -210,20 +226,20 @@ def test_skeletons_are_idempotent_under_user_tables_that_keep_the_digits(
     # each of 1-9 rewrites to itself in `lang`, for that language or for
     # all, and no other pattern is all digits
     digits = [(d, d, "*" if u else lang) for d, u in zip(DIGITS, universal)]
-    table = RuleTable.from_rows(digits + extra)
+    rows = digits + extra
     for text in texts:
-        once = normalize_numeric(text, lang, table)
-        assert normalize_numeric(once, lang, table) == once
+        once = normalize_with(rows, text, lang)
+        assert normalize_with(rows, once, lang) == once
 
 
 def test_skeletons_need_not_be_idempotent_under_other_user_tables():
-    no_digit_rules = RuleTable.from_rows([("一", "1", "zh")])
-    assert normalize_numeric("一", "zh", no_digit_rules) == "1"
-    assert normalize_numeric("1", "zh", no_digit_rules) == ""
-    two_digit_rule = RuleTable.from_rows(
-        [(d, d, "*") for d in DIGITS] + [("一", "1", "zh"), ("二", "2", "zh"), ("12", "5", "zh")])
-    assert normalize_numeric("一二", "zh", two_digit_rule) == "12"
-    assert normalize_numeric("12", "zh", two_digit_rule) == "5"
+    no_digit_rules = [("一", "1", "zh")]
+    assert normalize_with(no_digit_rules, "一", "zh") == "1"
+    assert normalize_with(no_digit_rules, "1", "zh") == ""
+    two_digit_rule = [(d, d, "*") for d in DIGITS] + [("一", "1", "zh"), ("二", "2", "zh"),
+                                                      ("12", "5", "zh")]
+    assert normalize_with(two_digit_rule, "一二", "zh") == "12"
+    assert normalize_with(two_digit_rule, "12", "zh") == "5"
 
 
 # words and numerals that rewrite at a word start, and ones that must not;
@@ -245,5 +261,33 @@ def test_skeleton_of_joined_tokens_joins_their_skeletons(tokens, lang):
 
 def test_no_packaged_pattern_holds_whitespace():
     # what makes a text's skeleton its space-separated tokens' skeletons joined
-    patterns = [pattern for rules in default_rules().rules.values() for pattern, _ in rules]
+    patterns = [pattern for pattern, _, _ in PACKAGED_ROWS]
     assert patterns and all(pattern.split() == [pattern] for pattern in patterns)
+
+
+def test_every_form_month_number_accepts_has_a_skeleton():
+    # Gazetteer tests a token for N/T by its skeleton alone; this is why a
+    # month name or abbreviation needs no test of its own. month_number
+    # accepts a token only when, lowered and stripped of trailing dots, it
+    # is a prefix of a month name; normalize_numeric lowers it too, and no
+    # pattern holds a dot. So every prefix, in three cases and with trailing
+    # dots, stands for every token month_number accepts.
+    assert not any("." in pattern for pattern, _, _ in PACKAGED_ROWS)
+    accepted = 0
+    for lang, names in MONTH_NAMES.items():
+        for name in names:
+            for end in range(1, len(name) + 1):
+                prefix = name[:end]
+                for form in (prefix.lower(), prefix.upper(), prefix.title()):
+                    for dots in ("", ".", ".."):
+                        if month_number(form + dots, lang) is None:
+                            continue
+                        accepted += 1
+                        assert normalize_numeric(form + dots, lang), (form + dots, lang)
+                        spans = Gazetteer({}).recognize(Sentence((form + dots,), lang), 0,
+                                                        "source")
+                        assert [(s.start, s.end, s.ne_type) for s in spans] == \
+                            [(0, 1, NeType.NT)]
+    # 32 English forms and 12 Chinese ones, each in three cases (the same
+    # for Chinese) with zero to two trailing dots
+    assert accepted == (32 + 12) * 9
