@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from functools import partial
 from typing import TYPE_CHECKING
@@ -146,6 +147,8 @@ def cmd_score_ne(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .neural import gradient_check, make_model, oriented
 
+    if not 0.0 < args.tolerance < math.inf:
+        raise ConfigError(f"--tolerance must be finite and positive, got {args.tolerance}")
     if args.pairs:
         pairs = core.read_ne_pairs(args.pairs)
     else:

@@ -34,6 +34,7 @@ from reassociating arithmetic.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +61,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.hidden_size < 1 or self.embed_size < 1 or self.max_decode_len < 1:
             raise ConfigError("model sizes must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        # chained comparisons are false for NaN, so NaN is rejected too
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 < self.adadelta_rho < 1.0:
             raise ConfigError("adadelta_rho must lie in (0, 1)")
-        if self.adadelta_eps <= 0:
-            raise ConfigError("adadelta_eps must be positive")
+        if not 0.0 < self.adadelta_eps < math.inf:
+            raise ConfigError(f"adadelta_eps must be finite and positive, got {self.adadelta_eps}")
 
 
 class FlatParams(dict):

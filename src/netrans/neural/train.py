@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -112,6 +113,8 @@ def train(pairs: Sequence[NePair], direction: str, config: ModelConfig,
     table, not training multiplicities. on_epoch may return True to stop
     early, in which case the current (not best) parameters are kept.
     """
+    if max_epochs < 0 or patience < 0:
+        raise ConfigError(f"max_epochs and patience must be >= 0, got {max_epochs} and {patience}")
     model = make_model(pairs, direction, config)
     texts = oriented(pairs, direction)
     dev_texts = oriented(dev_pairs, direction) if dev_pairs else None
@@ -168,6 +171,8 @@ def gradient_check(model: Seq2SeqModel, texts: Sequence[tuple[str, str]],
     per-character NLL over `texts`. Relative error for one element is
     |ga - gn| / max(|ga| + |gn|, 1e-6).
     """
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(f"finite-difference eps must be finite and positive, got {eps}")
     encoded = [(model.src_vocab.encode(inp), model.tgt_vocab.encode(out))
                for inp, out in texts]
 

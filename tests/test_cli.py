@@ -174,7 +174,34 @@ def test_gradcheck_impossible_tolerance_fails(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("flag, value, complaint", [
+    ("--tolerance", "nan", "--tolerance must be finite and positive"),
+    ("--tolerance", "0", "--tolerance must be finite and positive"),
+    ("--fd-eps", "0", "finite-difference eps must be finite and positive"),
+    ("--fd-eps", "nan", "finite-difference eps must be finite and positive"),
+])
+def test_gradcheck_rejects_a_non_finite_or_non_positive_setting(capsys, flag, value, complaint):
+    rc, out, err = run(capsys, "gradcheck", "--seed", "5", flag, value)
+    assert rc == 1
+    assert complaint in err and "OK" not in out
+
+
 # -- training and translation ----------------------------------------------------
+
+
+@pytest.mark.parametrize("flags, complaint", [
+    (("--lr", "nan"), "learning_rate must be finite and positive"),
+    (("--eps", "inf"), "adadelta_eps must be finite and positive"),
+    (("--epochs", "-3"), "max_epochs and patience must be >= 0"),
+    (("--patience", "-1"), "max_epochs and patience must be >= 0"),
+])
+def test_train_rejects_non_finite_or_negative_settings(capsys, work, tiny_pairs, flags, complaint):
+    out = work / "rejected.bin"
+    rc, _, err = run(capsys, "train-ne", "--pairs", str(tiny_pairs), "--direction", "s2t",
+                     "--out", str(out), "--hidden", "8", "--embed", "4", *flags)
+    assert rc == 1
+    assert complaint in err
+    assert not out.exists()
 
 
 def test_train_writes_model_and_log(capsys, work, tiny_pairs):
@@ -723,6 +750,22 @@ def test_synth_rejects_out_of_range_settings(capsys, work, flag, value):
     assert rc == 1
     assert flag[2:].replace("-", "_") in err and out == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("pairs, rc", [("1521", 0), ("1522", 1)])
+def test_synth_sizes_up_to_what_the_numeric_kinds_hold(tmp_path, pairs, rc):
+    # in a child process with a deadline: past the limit, synth used to
+    # retry its numeric draws forever
+    env = dict(os.environ, PYTHONPATH=str(Path(netrans.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "netrans.cli", "synth", "--out-dir",
+                           str(tmp_path / "out"), "--pairs", pairs, "--sentences", "6100"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == rc, proc.stderr
+    if rc:
+        assert "use at most 1521 pairs" in proc.stderr and proc.stdout == ""
+        assert not (tmp_path / "out").exists()
+    else:
+        assert "plants\t1521" in proc.stdout
 
 
 def test_synth_is_deterministic_across_runs(work):

@@ -75,6 +75,10 @@ def test_vocab_rejects_ids_outside_it_at_both_ends(idx):
     {"learning_rate": 0.0},
     {"adadelta_rho": 1.0},
     {"adadelta_eps": 0.0},
+    {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")},
+    {"adadelta_eps": float("nan")},
+    {"adadelta_eps": float("inf")},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):

@@ -134,6 +134,25 @@ def test_gradients_match_finite_differences():
     assert worst <= 1e-3, f"worst relative error {worst:.3e}"
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-4, float("nan"), float("inf")])
+def test_gradient_check_needs_a_finite_positive_step(eps):
+    model = make_model(PAIRS, S2T, small_config())
+    with pytest.raises(ConfigError, match="finite-difference eps"):
+        gradient_check(model, oriented(PAIRS, S2T), eps=eps)
+
+
+@pytest.mark.parametrize("kwargs", [dict(max_epochs=-3), dict(patience=-1)])
+def test_training_rejects_negative_epochs_and_patience(kwargs):
+    with pytest.raises(ConfigError, match="must be >= 0"):
+        train(PAIRS, S2T, small_config(), **kwargs)
+
+
+def test_zero_epochs_leave_the_initial_model():
+    model = train(PAIRS, S2T, small_config(), max_epochs=0, patience=0)
+    initial = make_model(PAIRS, S2T, small_config())
+    assert np.array_equal(model.params.vector, initial.params.vector)
+
+
 def test_unknown_target_chars_are_skipped_like_the_dev_loss():
     config = ModelConfig(hidden_size=8, embed_size=8, seed=5)
     model = make_model(PAIRS, S2T, config)

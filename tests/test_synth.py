@@ -2,6 +2,7 @@
 
 import pytest
 
+from netrans import synth
 from netrans.core import NeType
 from netrans.errors import ConfigError
 from netrans.synth import make_corpus, make_translit_pairs
@@ -115,6 +116,25 @@ def test_noise_perturbs_some_spellings():
 def test_insufficient_capacity_is_rejected(kwargs, complaint):
     with pytest.raises(ConfigError, match=complaint):
         make_corpus(seed=3, **kwargs)
+
+
+def test_the_largest_size_the_numeric_kinds_hold_is_generated():
+    # 243 numeric plants cycle over the kinds: 81 percentages (all of them),
+    # 81 dates and 81 thousands (all of them)
+    corpus = make_corpus(n_pairs=1521, n_sentences=6100, seed=42)
+    nt = [p for p in corpus.plant_pairs if p.ne_type is NeType.NT]
+    assert len(nt) == 243 and len({p.src for p in nt}) == 243
+
+
+def test_numeric_plants_beyond_a_kinds_values_are_refused_before_any_draw(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("a random generator was made before the size was checked")
+
+    monkeypatch.setattr(synth.random, "Random", no_draws)
+    for n_pairs in (1522, 2000, 10**9):
+        with pytest.raises(ConfigError, match="only 81 distinct percentages exist: "
+                                              "use at most 1521 pairs"):
+            make_corpus(n_pairs=n_pairs, n_sentences=4 * n_pairs, seed=42)
 
 
 def test_translit_pairs_deterministic_unique_and_typed():
