@@ -82,10 +82,10 @@ def _packaged_index(lang: str) -> dict[str, _Bucket]:
 
 def normalize_numeric(s: str, lang: str) -> str:
     """Reduce an expression to its digit skeleton over the alphabet 1-9."""
-    return _skeleton(s, _packaged_index(lang))
+    return _normalize(s, _packaged_index(lang))
 
 
-def _skeleton(s: str, index: dict[str, _Bucket]) -> str:
+def _normalize(s: str, index: dict[str, _Bucket]) -> str:
     lowered = unicodedata.normalize("NFC", s).lower()
     out: list[str] = []
     i = 0

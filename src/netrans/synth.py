@@ -93,24 +93,6 @@ def _name(rng: random.Random, used: set[str]) -> tuple[str, tuple[str, ...]]:
 _NT_KINDS = (("percentages", 81), ("dates", 108), ("thousands", 81))
 
 
-def _nt_plants(n_pairs: int) -> int:
-    return max(1, round(n_pairs * 0.16))
-
-
-def _check_nt_kinds(n_pairs: int) -> None:
-    """Refuse a size whose numeric plants, cycling over the kinds, would
-    need more distinct values of one kind than it has."""
-    n_nt = _nt_plants(n_pairs)
-    for kind, (name, size) in enumerate(_NT_KINDS):
-        need = len(range(kind, n_nt, 3))
-        if need > size:
-            most_nt = min(k + 3 * s for k, (_, s) in enumerate(_NT_KINDS))
-            most = max(n for n in range(round(most_nt / 0.16) + 3) if _nt_plants(n) <= most_nt)
-            raise ConfigError(
-                f"{n_pairs} pairs plant {n_nt} numeric entities, {need} of them {name}, "
-                f"but only {size} distinct {name} exist: use at most {most} pairs")
-
-
 def _numeric(rng: random.Random, kind: int, used: set[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """One numeric/temporal pair as (zh tokens, en tokens); `kind` cycles
     over `_NT_KINDS`, and a draw repeats until it is a new value."""
@@ -172,10 +154,16 @@ def make_corpus(n_pairs: int = 50, n_sentences: int = 200, seed: int = 42,
             raise ConfigError(f"{name} must lie in [0, 1], got {rate}")
     if extra_train < 0:
         raise ConfigError(f"extra_train must be >= 0, got {extra_train}")
-    _check_nt_kinds(n_pairs)
+    # numeric plants cycle over the kinds, and past a kind's distinct values
+    # `_numeric` would draw forever; 1521 pairs plant 243, which takes every
+    # percentage and every thousand
+    n_nt = max(1, round(n_pairs * 0.16))
+    for kind, (name, size) in enumerate(_NT_KINDS):
+        if len(range(kind, n_nt, 3)) > size:
+            raise ConfigError(f"{n_pairs} pairs plant {n_nt} numeric entities, more {name} "
+                              f"than the {size} distinct ones: at most 1521 pairs fit")
     rng = random.Random(seed)
 
-    n_nt = _nt_plants(n_pairs)
     n_per = (n_pairs - n_nt + 1) // 2
     n_loc = n_pairs - n_nt - n_per
 

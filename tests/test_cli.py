@@ -762,7 +762,7 @@ def test_synth_sizes_up_to_what_the_numeric_kinds_hold(tmp_path, pairs, rc):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == rc, proc.stderr
     if rc:
-        assert "use at most 1521 pairs" in proc.stderr and proc.stdout == ""
+        assert "at most 1521 pairs fit" in proc.stderr and proc.stdout == ""
         assert not (tmp_path / "out").exists()
     else:
         assert "plants\t1521" in proc.stdout

@@ -24,7 +24,7 @@ PACKAGED_ROWS = read_rows(PACKAGED, (3,), tuple, comments=True)
 
 def normalize_with(rows, text, lang):
     """`normalize_numeric` over the rule rows `rows` in place of the packaged ones."""
-    return numnorm._skeleton(text, numnorm._rule_index(rows, lang))
+    return numnorm._normalize(text, numnorm._rule_index(rows, lang))
 
 
 @pytest.mark.parametrize(

@@ -132,8 +132,8 @@ def test_numeric_plants_beyond_a_kinds_values_are_refused_before_any_draw(monkey
 
     monkeypatch.setattr(synth.random, "Random", no_draws)
     for n_pairs in (1522, 2000, 10**9):
-        with pytest.raises(ConfigError, match="only 81 distinct percentages exist: "
-                                              "use at most 1521 pairs"):
+        with pytest.raises(ConfigError, match="more percentages than the 81 distinct "
+                                              "ones: at most 1521 pairs fit"):
             make_corpus(n_pairs=n_pairs, n_sentences=4 * n_pairs, seed=42)
 
 
