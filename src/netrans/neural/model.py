@@ -63,11 +63,13 @@ class ModelConfig:
             raise ConfigError("model sizes must be >= 1")
         # chained comparisons are false for NaN, so NaN is rejected too
         if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+            raise ConfigError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 < self.adadelta_rho < 1.0:
             raise ConfigError("adadelta_rho must lie in (0, 1)")
         if not 0.0 < self.adadelta_eps < math.inf:
-            raise ConfigError(f"adadelta_eps must be finite and positive, got {self.adadelta_eps}")
+            raise ConfigError(
+                f"adadelta_eps must be finite and positive, got {self.adadelta_eps}")
 
 
 class FlatParams(dict):

@@ -9,10 +9,10 @@ match exactly.
 
 The rules are one packaged TSV (pattern / replacement / language, "*" for
 every language) covering Chinese and English.  At each position the
-longest pattern wins, ties going to code-point order; alphabetic patterns
-only match at the start of a letter run, so "seventh" yields "7" while
-"stone" yields nothing.  Two facts about the packaged rules hold the rest
-of the toolkit up, and tests pin both:
+longest pattern wins; alphabetic patterns only match at the start of a
+letter run, so "seventh" yields "7" while "stone" yields nothing.  Two
+facts about the packaged rules hold the rest of the toolkit up, and tests
+pin both:
 - each digit 1-9 rewrites to itself and no other pattern is all digits,
   so a skeleton normalizes to itself;
 - no pattern holds whitespace, so no match crosses a space and a letter
