@@ -74,7 +74,7 @@ class AlignConfig:
             raise ConfigError(f"directions must be one of {DIRECTIONS}, got {self.directions!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignedPair:
     """One aligned entity: a source token range linked to a target range."""
 

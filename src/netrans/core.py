@@ -11,6 +11,12 @@ per line; blank lines are skipped, `#` lines too where a reader asks for
 comments, and a line with a wrong column count or a malformed field is a
 ParseError naming the file and line.  The other modules' readers and
 writers keep only their record fields and checks.
+
+The record types here (`Sentence`, `SentencePair`, `NeSpan`, `NePair`),
+`align.AlignedPair` and `pipeline.SymbolEntry` are slotted frozen
+dataclasses: an instance holds its fields and nothing else (no
+`__dict__`), since a run keeps every record of a corpus in memory.  Copy
+one with a changed field through `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ class NeType(Enum):
             raise ValueError(f"unknown entity type {text!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     """A tokenized sentence in one language."""
 
@@ -88,7 +94,7 @@ class Sentence:
         return " ".join(self.tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentencePair:
     """One line of a parallel corpus."""
 
@@ -103,7 +109,7 @@ class SentencePair:
             raise ValueError("sentence id must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeSpan:
     """A typed entity occurrence anchored to token positions.
 
@@ -140,7 +146,7 @@ class NeSpan:
         return replace(self, surface=" ".join(sentence.tokens[self.start : self.end]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NePair:
     """A bilingual entity pair, the unit of translator training data."""
 

@@ -23,12 +23,15 @@ pin both:
 
 from __future__ import annotations
 
+import logging
 import unicodedata
 from functools import lru_cache
 from importlib import resources
 
 from . import simdist
 from .core import read_rows
+
+log = logging.getLogger(__name__)
 
 DIGITS = "123456789"
 
@@ -75,9 +78,18 @@ def _rule_index(rows, lang: str) -> dict[str, _Bucket]:
 
 @lru_cache(maxsize=None)
 def _packaged_index(lang: str) -> dict[str, _Bucket]:
+    """The packaged rules' index for `lang`, built once per language.
+
+    A language no row names gets only the "*" rows, with one warning.
+    """
     ref = resources.files("netrans.data").joinpath("numnorm_rules.tsv")
     with resources.as_file(ref) as path:
-        return _rule_index(read_rows(path, (3,), tuple, comments=True), lang)
+        rows = read_rows(path, (3,), tuple, comments=True)
+    langs = sorted({row_lang for _, _, row_lang in rows} - {"*"})
+    if lang not in langs:
+        log.warning("no numeric rules for language %r, only the digit rules apply "
+                    "(languages with rules: %s)", lang, ", ".join(langs))
+    return _rule_index(rows, lang)
 
 
 def normalize_numeric(s: str, lang: str) -> str:

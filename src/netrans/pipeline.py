@@ -45,7 +45,7 @@ def unescape_token(token: str) -> str:
     return token[1:] if token.startswith(ESC) else token
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolEntry:
     """One placeholder's record: what it stands for and, when known, its translation."""
 

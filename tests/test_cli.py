@@ -161,6 +161,17 @@ def test_numnorm(capsys, argv, expected):
     assert out == expected + "\n"
 
 
+def test_numnorm_warns_about_a_language_without_rules_of_its_own():
+    # run as a command, so that the warning is seen on the process's stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(netrans.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "netrans.cli", "numnorm", "--lang", "ZH",
+                           "百分之四点二"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "\n"  # the "*" digit rows apply, and the text holds no digit
+    assert proc.stderr.startswith("WARNING netrans.numnorm: no numeric rules for language 'ZH'")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_gradcheck_default_pairs_pass(capsys):
     rc, out, _ = run(capsys, "gradcheck", "--seed", "5")
     assert rc == 0

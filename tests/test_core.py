@@ -3,7 +3,7 @@ import copy
 import multiprocessing
 import pickle
 import tempfile
-from dataclasses import replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -60,6 +60,77 @@ def test_ne_type_members_work_as_dict_and_set_keys_however_obtained():
 
 def _parse_types(texts):
     return {NeType.parse(text): text for text in texts}
+
+
+_ZH = Sentence(("安娜", "到", "巴林"), "zh")
+
+# name -> (a record, its fields in order with their defaults); a run holds
+# every record of a corpus at once, so each is a slotted frozen dataclass
+RECORDS = {
+    "Sentence": (_ZH, {"tokens": MISSING, "lang": MISSING}),
+    "SentencePair": (SentencePair(_ZH, Sentence(("anna", "reached", "bahrain"), "en"), 7),
+                     {"src": MISSING, "tgt": MISSING, "id": MISSING}),
+    "NeSpan": (NeSpan(7, "source", 2, 3, NeType.LOC, "巴林"),
+               {"sentence_id": MISSING, "side": MISSING, "start": MISSING, "end": MISSING,
+                "ne_type": MISSING, "surface": ""}),
+    "NePair": (NePair("安娜", "anna", NeType.PER, 3),
+               {"src": MISSING, "tgt": MISSING, "ne_type": MISSING, "count": 1}),
+    "AlignedPair": (AlignedPair(7, 0, 1, 0, 1, NeType.PER, 0.875, "both"),
+                    {"sentence_id": MISSING, "src_start": MISSING, "src_end": MISSING,
+                     "tgt_start": MISSING, "tgt_end": MISSING, "ne_type": MISSING,
+                     "score": MISSING, "direction": MISSING}),
+    "SymbolEntry": (SymbolEntry(7, "LOC1", "巴林", NeType.LOC, "bahrain"),
+                    {"sentence_id": MISSING, "symbol": MISSING, "surface": MISSING,
+                     "ne_type": MISSING, "translation": ""}),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_holds_its_fields_only(name):
+    record, expected = RECORDS[name]
+    assert type(record).__name__ == name
+    assert {f.name: f.default for f in fields(record)} == expected
+    assert list(expected) == [f.name for f in fields(record)]  # in order
+    assert type(record).__slots__ == tuple(expected)
+    assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_record_pickles_at_every_protocol(name, protocol):
+    record, _ = RECORDS[name]
+    back = pickle.loads(pickle.dumps(record, protocol))
+    assert type(back) is type(record) and not hasattr(back, "__dict__")
+    assert back == record and repr(back) == repr(record)
+    assert hash(back) == hash(record)
+    assert {record: name}[back] == name and {back: name}[record] == name
+    assert len({record, back}) == 1
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_copies_are_equal(name):
+    record, _ = RECORDS[name]
+    for other in (copy.copy(record), copy.deepcopy(record), replace(record)):
+        assert type(other) is type(record) and not hasattr(other, "__dict__")
+        assert other == record and hash(other) == hash(record)
+    first = fields(record)[0].name
+    assert replace(record, **{first: getattr(record, first)}) == record
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_cannot_be_assigned(name):
+    record, _ = RECORDS[name]
+    before = repr(record)
+    for f in fields(record):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, f.name)
+    # a name that is no field has no slot; the frozen `__setattr__` of a
+    # slotted class raises TypeError for it (CPython 3.10-3.13)
+    with pytest.raises((AttributeError, TypeError)):
+        record.extra = 1
+    assert repr(record) == before
 
 
 def test_ne_type_keys_come_back_from_a_fresh_worker_process():

@@ -1,3 +1,4 @@
+import logging
 import random
 import unicodedata
 from pathlib import Path
@@ -117,6 +118,18 @@ def test_default_rules_cover_both_languages():
     assert {"zh", "en", "*"} == langs
     assert normalize_numeric("三", "zh") == "3" and normalize_numeric("三", "en") == ""
     assert normalize_numeric("three", "en") == "3" and normalize_numeric("three", "zh") == ""
+
+
+def test_a_language_without_rules_of_its_own_is_warned_about_once(caplog):
+    numnorm._packaged_index.cache_clear()  # so that every language below is indexed afresh
+    with caplog.at_level(logging.WARNING, logger="netrans.numnorm"):
+        assert normalize_numeric("百分之四点二", "ZH") == ""  # the "*" digit rows still apply
+        assert normalize_numeric("4.2%", "ZH") == "42"
+        assert normalize_numeric("百分之四点二", "zh") == "42"
+        assert normalize_numeric("4.2%", "en") == "42"
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "no numeric rules for language 'ZH', only the digit rules apply "
+                    "(languages with rules: en, zh)")]
 
 
 def test_universal_rules_merge_longest_first():
