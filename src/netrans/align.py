@@ -181,9 +181,9 @@ def match_span(ne: NeSpan, candidates: Sequence[tuple[str, float]],
     candidate is its own skeleton, against the tokens' skeletons joined
     with no joiner. Each token is normalized on its own, which equals
     normalizing the space-joined text, because no pattern of the packaged
-    table holds whitespace: no match crosses a space, and a letter after a
-    space is at a word start, as at the start of a text. The result is the
-    one `numnorm.nt_similarity` gives per range, exactly:
+    table holds whitespace and a space is not a letter: no match crosses a
+    space, and a space starts and ends a word as the ends of a text do.
+    The result is the one `numnorm.nt_similarity` gives per range, exactly:
     - skeletons are digits, so folding leaves the candidate as it is and
       its pack has no space mask;
     - `(m - unmatched) / m` is `lcs / len(wanted)`, the same integers

@@ -185,22 +185,15 @@ def gradient_check(model: Seq2SeqModel, texts: Sequence[tuple[str, str]],
         total += grads.vector
     analytic = total / steps_sum
 
-    def batch_loss() -> float:
-        acc = 0.0
-        for src_ids, tgt_ids in encoded:
-            nll, _ = model.nll(src_ids, tgt_ids)
-            acc += nll
-        return acc / steps_sum
-
     report: dict[str, float] = {}
     for name, start, stop, _ in model.layout:
         worst = 0.0
         for i in range(start, stop):
             saved = theta[i]
             theta[i] = saved + eps
-            up = batch_loss()
+            up = loss_on(model, texts)
             theta[i] = saved - eps
-            down = batch_loss()
+            down = loss_on(model, texts)
             theta[i] = saved
             numeric = (up - down) / (2.0 * eps)
             ga = analytic[i]

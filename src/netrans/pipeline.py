@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from .align import AlignedPair, decode_once
 from .core import NePair, NeSpan, NeType, Sentence, SentencePair, read_rows, write_lines
 from .errors import ConfigError, ContractError
-from .numnorm import month_name, month_number
+from .numnorm import render_nt
 
 log = logging.getLogger(__name__)
 
@@ -30,9 +30,6 @@ PLACEHOLDER_RE = re.compile(r"^(PER|LOC|NT)([1-9][0-9]*)$")
 # broader than the symbols we emit: PER0, NT007 etc. are escaped too
 _COLLIDING_RE = re.compile(r"^(PER|LOC|NT)[0-9]+$")
 ESC = "␛"
-
-_ZH_DIGITS = {"零": "0", "〇": "0", "一": "1", "二": "2", "三": "3", "四": "4",
-              "五": "5", "六": "6", "七": "7", "八": "8", "九": "9"}
 
 
 def escape_token(token: str) -> str:
@@ -221,21 +218,6 @@ class RestoreReport:
     @property
     def warnings(self) -> int:
         return self.dropped + self.unrealized
-
-
-def render_nt(surface: str, src_lang: str, tgt_lang: str) -> str:
-    """Rule rendering for numeric/temporal surfaces.
-
-    Whole-surface month names are rendered in the target language; otherwise
-    local-language digits become Arabic digits and every other character
-    (units, punctuation) is copied through.
-    """
-    number = month_number(surface.strip(), src_lang)
-    if number is not None:
-        name = month_name(number, tgt_lang)
-        if name is not None:
-            return name
-    return "".join(_ZH_DIGITS.get(c, c) for c in surface)
 
 
 def restore(sentence: Sentence, entries: Sequence[SymbolEntry], table: LexicalTable,

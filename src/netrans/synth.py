@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .align import BOTH, AlignedPair
 from .core import NePair, NeSpan, NeType, Sentence, SentencePair
 from .errors import ConfigError
+from .numnorm import MONTH_NAMES, ZH_NUMERALS
 
 ZH = "zh"
 EN = "en"
@@ -30,11 +31,6 @@ _SYLLABLES = (
     "lan", "mo", "nan", "pei", "qi", "rui", "sha", "tai", "wen", "xi",
     "ya", "zhou", "cheng", "dong", "fei", "ge", "hua", "jia", "luo", "ming",
 )
-_ZH_NUM = "零一二三四五六七八九"
-_EN_MONTHS = ("january", "february", "march", "april", "may", "june", "july",
-              "august", "september", "october", "november", "december")
-_ZH_MONTHS = ("一月", "二月", "三月", "四月", "五月", "六月", "七月", "八月",
-              "九月", "十月", "十一月", "十二月")
 
 # walked for the per-type dicts of every sentence; iterating the Enum itself
 # runs Python code at each pass
@@ -100,14 +96,14 @@ def _numeric(rng: random.Random, kind: int, used: set[str]) -> tuple[tuple[str, 
         a = rng.randint(1, 9)
         b = rng.randint(1, 9)
         if kind % 3 == 0:
-            zh: tuple[str, ...] = (f"百分之{_ZH_NUM[a]}点{_ZH_NUM[b]}",)
+            zh: tuple[str, ...] = (f"百分之{ZH_NUMERALS[a]}点{ZH_NUMERALS[b]}",)
             en: tuple[str, ...] = (f"{a}.{b}%",)
         elif kind % 3 == 1:
             month = rng.randint(1, 12)
-            zh = (_ZH_MONTHS[month - 1], _ZH_NUM[a], "日")
-            en = (_EN_MONTHS[month - 1], str(a))
+            zh = (MONTH_NAMES[ZH][month - 1], ZH_NUMERALS[a], "日")
+            en = (MONTH_NAMES[EN][month - 1].lower(), str(a))
         else:
-            zh = (f"{_ZH_NUM[a]}千{_ZH_NUM[b]}百",)
+            zh = (f"{ZH_NUMERALS[a]}千{ZH_NUMERALS[b]}百",)
             en = (f"{a},{b}00",)
         key = " ".join(zh)
         if key not in used:

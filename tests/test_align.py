@@ -520,6 +520,13 @@ def test_nt_spans_match_on_digit_skeletons_without_a_translator():
     assert hit == (1, 2, 1.0)
 
 
+def test_nt_spans_match_the_month_word_not_a_word_it_starts():
+    ne = NeSpan(0, "source", 0, 1, NeType.NT, "三月")
+    hit = match_span(ne, [], tuple("the market opened in march".split()), CFG,
+                     ne_lang="zh", other_lang="en")
+    assert hit == (4, 5, 1.0)
+
+
 # -- sentence-level union --------------------------------------------------------
 
 

@@ -697,6 +697,19 @@ def test_replace_sentence_mode_with_gazetteer(capsys, work):
     assert out.read_text(encoding="utf-8") == "记者 采访 了 PER1\n"
 
 
+def test_replace_with_gazetteer_leaves_words_that_start_like_a_month(capsys, work):
+    sents = work / "month_input.en"
+    sents.write_text("the market opened in march\n", encoding="utf-8")
+    gaz = work / "month_gaz.tsv"
+    gaz.write_text("anna\tPER\n", encoding="utf-8")
+    out = work / "month_out.en"
+    rc, _, _ = run(capsys, "replace", "--input", str(sents), "--lang", "en",
+                   "--gazetteer", str(gaz), "--out", str(out),
+                   "--out-symmap", str(work / "month_symbols.tsv"))
+    assert rc == 0
+    assert out.read_text(encoding="utf-8") == "the market opened in NT1\n"
+
+
 # -- evaluation -------------------------------------------------------------------
 
 

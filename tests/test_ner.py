@@ -63,6 +63,12 @@ def test_month_tokens_count_as_numeric():
     assert [(s.start, s.end, s.ne_type) for s in spans] == [(2, 4, NeType.NT)]
 
 
+def test_words_that_start_like_a_month_are_not_nt():
+    spans = Gazetteer({}).recognize(
+        en(*"maybe the market will decide on a novel plan".split()), 0, "source")
+    assert spans == []
+
+
 def test_gazetteer_entries_do_not_become_nt():
     g = Gazetteer({("五",): NeType.PER})  # pathological but legal
     spans = g.recognize(zh("五", "六"), 0, "source")

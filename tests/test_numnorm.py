@@ -13,14 +13,17 @@ from netrans.ner import Gazetteer
 from netrans.numnorm import (
     DIGITS,
     MONTH_NAMES,
+    ZH_NUMERALS,
     month_name,
     month_number,
     normalize_numeric,
     nt_similarity,
+    render_nt,
 )
 
 PACKAGED = Path(numnorm.__file__).parent / "data" / "numnorm_rules.tsv"
-PACKAGED_ROWS = read_rows(PACKAGED, (3,), tuple, comments=True)
+# (pattern, replacement, lang, kind)
+PACKAGED_ROWS = read_rows(PACKAGED, (4,), tuple, comments=True)
 
 
 def normalize_with(rows, text, lang):
@@ -59,6 +62,24 @@ def test_alphabetic_rules_only_fire_at_word_starts():
     assert normalize_numeric("one stone", "en") == "1"
     # but a leading match inside a longer word is the documented behavior
     assert normalize_numeric("seventh", "en") == "7"
+
+
+@pytest.mark.parametrize("word", ["market", "mayor", "decide", "novel", "junior", "maybe",
+                                  "marching", "Septet", "octopus"])
+def test_month_rows_do_not_match_inside_a_word(word):
+    assert normalize_numeric(word, "en") == ""
+
+
+def test_month_rows_match_a_whole_letter_run():
+    assert normalize_numeric("march", "en") == "3"
+    assert normalize_numeric("Mar.", "en") == "3"
+    assert normalize_numeric("3mar", "en") == "33"
+    assert normalize_numeric("sept-5", "en") == "95"
+    assert normalize_numeric("the market opened in march", "en") == "3"
+    # the rule reads letters, not meaning: a whole-word "may" is still May
+    assert normalize_numeric("prices may rise", "en") == "5"
+    # Chinese month rows end in 月, not a letter, and keep matching anywhere
+    assert normalize_numeric("三月a", "zh") == "3"
 
 
 def test_longest_pattern_wins():
@@ -114,7 +135,7 @@ def test_month_name_round_trips():
 
 
 def test_default_rules_cover_both_languages():
-    langs = {lang for _, _, lang in PACKAGED_ROWS}
+    langs = {lang for _, _, lang, _ in PACKAGED_ROWS}
     assert {"zh", "en", "*"} == langs
     assert normalize_numeric("三", "zh") == "3" and normalize_numeric("三", "en") == ""
     assert normalize_numeric("three", "en") == "3" and normalize_numeric("three", "zh") == ""
@@ -133,7 +154,7 @@ def test_a_language_without_rules_of_its_own_is_warned_about_once(caplog):
 
 
 def test_universal_rules_merge_longest_first():
-    rows = [("a", "1", "en"), ("ab", "2", "*"), ("abc", "3", "en")]
+    rows = [("a", "1", "en", "number"), ("ab", "2", "*", "number"), ("abc", "3", "en", "number")]
     assert normalize_with(rows, "ab abc a", "en") == "231"
     assert normalize_with(rows, "ab abc a", "zh") == "22"
 
@@ -149,8 +170,8 @@ def scan_patterns(rows, lang):
     def ordered(patterns):
         return sorted(patterns, key=lambda pr: (-len(pr[0]), pr[0]))
 
-    specific = ordered([(p.lower(), r) for p, r, row_lang in rows if row_lang == lang])
-    universal = ordered([(p.lower(), r) for p, r, row_lang in rows if row_lang == "*"])
+    specific = ordered([(p.lower(), r, k) for p, r, row_lang, k in rows if row_lang == lang])
+    universal = ordered([(p.lower(), r, k) for p, r, row_lang, k in rows if row_lang == "*"])
     return ordered(specific + universal)
 
 
@@ -161,10 +182,13 @@ def scan_normalize(s, lang, rows):
     out = []
     i = 0
     while i < len(lowered):
-        for pattern, replacement in patterns:
+        for pattern, replacement, kind in patterns:
             if lowered[i:i + len(pattern)] != pattern:
                 continue
             if _is_ascii_letter(pattern[0]) and i > 0 and _is_ascii_letter(lowered[i - 1]):
+                continue
+            after = lowered[i + len(pattern):i + len(pattern) + 1]
+            if kind == "month" and _is_ascii_letter(pattern[-1]) and _is_ascii_letter(after):
                 continue
             out.append(replacement)
             i += len(pattern)
@@ -174,7 +198,7 @@ def scan_normalize(s, lang, rows):
     return "".join(c for c in "".join(out) if c in DIGITS)
 
 
-DEFAULT_CHARS = sorted({c for pattern, _, _ in PACKAGED_ROWS for c in pattern})
+DEFAULT_CHARS = sorted({c for pattern, *_ in PACKAGED_ROWS for c in pattern})
 NOISE = " .,%0zxOTÉé十"
 LANG = st.sampled_from(["zh", "en"])
 
@@ -199,17 +223,19 @@ def test_skeletons_are_idempotent_under_the_packaged_rules(texts, lang):
 def test_packaged_rules_keep_the_digits():
     # what makes packaged skeletons idempotent: each of 1-9 rewrites to
     # itself in every language, and no other pattern is all digits
-    digit_rows = [(p, r, lang) for p, r, lang in PACKAGED_ROWS if set(p) <= set("0123456789")]
-    assert sorted(digit_rows) == [(d, d, "*") for d in DIGITS]
+    digit_rows = [row for row in PACKAGED_ROWS if set(row[0]) <= set("0123456789")]
+    assert sorted(digit_rows) == [(d, d, "*", "number") for d in DIGITS]
 
 
 # a small alphabet, so patterns share prefixes and first characters; ASCII
-# letters exercise the word-start rule, upper case and "İ" (two characters
-# when lowered) the folding of patterns and text
+# letters exercise the word-start rule and, in month rows, the word-end
+# rule, upper case and "İ" (two characters when lowered) the folding of
+# patterns and text
 PATTERN_CHARS = "abAB1一十月İ"
+KIND = st.sampled_from(["month", "number"])
 RULE = st.tuples(st.text(PATTERN_CHARS, min_size=1, max_size=4),
                  st.text("0123456789", max_size=2),
-                 st.sampled_from(["zh", "en", "*"]))
+                 st.sampled_from(["zh", "en", "*"]), KIND)
 
 
 @settings(max_examples=300, deadline=None)
@@ -226,7 +252,7 @@ def test_rule_index_matches_the_scan_on_user_tables(rows, texts, lang):
 EXTRA_RULE = st.tuples(st.text("ab1一十月%", min_size=1, max_size=4).filter(
                            lambda p: not all(c in "0123456789" for c in p)),
                        st.text("0123456789a", max_size=3),
-                       st.sampled_from(["zh", "en", "*"]))
+                       st.sampled_from(["zh", "en", "*"]), KIND)
 
 
 @settings(max_examples=300, deadline=None)
@@ -238,7 +264,7 @@ def test_skeletons_are_idempotent_under_user_tables_that_keep_the_digits(
         universal, extra, texts, lang):
     # each of 1-9 rewrites to itself in `lang`, for that language or for
     # all, and no other pattern is all digits
-    digits = [(d, d, "*" if u else lang) for d, u in zip(DIGITS, universal)]
+    digits = [(d, d, "*" if u else lang, "number") for d, u in zip(DIGITS, universal)]
     rows = digits + extra
     for text in texts:
         once = normalize_with(rows, text, lang)
@@ -246,21 +272,23 @@ def test_skeletons_are_idempotent_under_user_tables_that_keep_the_digits(
 
 
 def test_skeletons_need_not_be_idempotent_under_other_user_tables():
-    no_digit_rules = [("一", "1", "zh")]
+    no_digit_rules = [("一", "1", "zh", "number")]
     assert normalize_with(no_digit_rules, "一", "zh") == "1"
     assert normalize_with(no_digit_rules, "1", "zh") == ""
-    two_digit_rule = [(d, d, "*") for d in DIGITS] + [("一", "1", "zh"), ("二", "2", "zh"),
-                                                      ("12", "5", "zh")]
+    two_digit_rule = [(d, d, "*", "number") for d in DIGITS] + [
+        ("一", "1", "zh", "number"), ("二", "2", "zh", "number"), ("12", "5", "zh", "number")]
     assert normalize_with(two_digit_rule, "一二", "zh") == "12"
     assert normalize_with(two_digit_rule, "12", "zh") == "5"
 
 
 # words and numerals that rewrite at a word start, and ones that must not;
+# words a month starts, which must not rewrite, as a month must end its word;
 # Chinese months and numerals; digits and a zero; capital, final and medial
 # sigma; a dotted capital I that lowers to two characters; a lone combining
 # acute, which NFC could compose with a letter before it
-JOIN_PIECES = ["january", "May", "sept", "Oct", "one", "stone", "seventh", "a", "十一月", "十",
-               "一", "二月", "零", "7", "0", "42", "Σ", "ς", "σ", "İ", "\u0301"]
+JOIN_PIECES = ["january", "May", "sept", "Oct", "one", "stone", "seventh", "a",
+               "market", "decide", "marching", "十一月", "十", "一", "二月", "零", "7", "0",
+               "42", "Σ", "ς", "σ", "İ", "\u0301"]
 
 
 @settings(max_examples=500, deadline=None)
@@ -274,7 +302,7 @@ def test_skeleton_of_joined_tokens_joins_their_skeletons(tokens, lang):
 
 def test_no_packaged_pattern_holds_whitespace():
     # what makes a text's skeleton its space-separated tokens' skeletons joined
-    patterns = [pattern for pattern, _, _ in PACKAGED_ROWS]
+    patterns = [pattern for pattern, *_ in PACKAGED_ROWS]
     assert patterns and all(pattern.split() == [pattern] for pattern in patterns)
 
 
@@ -285,7 +313,7 @@ def test_every_form_month_number_accepts_has_a_skeleton():
     # is a prefix of a month name; normalize_numeric lowers it too, and no
     # pattern holds a dot. So every prefix, in three cases and with trailing
     # dots, stands for every token month_number accepts.
-    assert not any("." in pattern for pattern, _, _ in PACKAGED_ROWS)
+    assert not any("." in pattern for pattern, *_ in PACKAGED_ROWS)
     accepted = 0
     for lang, names in MONTH_NAMES.items():
         for name in names:
@@ -304,3 +332,31 @@ def test_every_form_month_number_accepts_has_a_skeleton():
     # 32 English forms and 12 Chinese ones, each in three cases (the same
     # for Chinese) with zero to two trailing dots
     assert accepted == (32 + 12) * 9
+
+
+def test_every_month_name_is_a_month_row_of_its_language():
+    months = {(pattern, lang): int(replacement)
+              for pattern, replacement, lang, kind in PACKAGED_ROWS if kind == "month"}
+    for lang, names in MONTH_NAMES.items():
+        for number, name in enumerate(names, start=1):
+            assert months.get((name.lower(), lang)) == number, (name, lang)
+
+
+def test_each_chinese_numeral_row_reads_its_index_in_the_numerals():
+    rows = [(pattern, replacement) for pattern, replacement, lang, kind in PACKAGED_ROWS
+            if lang == "zh" and kind == "number" and len(pattern) == 1]
+    assert rows
+    for pattern, replacement in rows:
+        assert ZH_NUMERALS.index(pattern) == int(replacement), pattern
+
+
+@pytest.mark.parametrize("surface,src,tgt,expected", [
+    ("十月", "zh", "en", "October"),
+    ("October", "en", "zh", "十月"),
+    ("oct.", "en", "zh", "十月"),
+    ("百分之四点二", "zh", "en", "百分之4点2"),
+    ("三", "zh", "en", "3"),
+    ("42", "zh", "en", "42"),
+])
+def test_render_nt(surface, src, tgt, expected):
+    assert render_nt(surface, src, tgt) == expected

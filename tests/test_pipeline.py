@@ -18,7 +18,6 @@ from netrans.pipeline import (
     escape_token,
     extract_lexical_table,
     read_symbol_map,
-    render_nt,
     replace_test_sentence,
     replace_training_pair,
     restore,
@@ -281,21 +280,6 @@ def test_table_read_rejects_malformed_rows(tmp_path, line, complaint):
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=complaint):
         LexicalTable.read(path)
-
-
-# -- rule rendering -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("surface,src,tgt,expected", [
-    ("十月", "zh", "en", "October"),
-    ("October", "en", "zh", "十月"),
-    ("oct.", "en", "zh", "十月"),
-    ("百分之四点二", "zh", "en", "百分之4点2"),
-    ("三", "zh", "en", "3"),
-    ("42", "zh", "en", "42"),
-])
-def test_render_nt(surface, src, tgt, expected):
-    assert render_nt(surface, src, tgt) == expected
 
 
 # -- restoration backoff ------------------------------------------------------
