@@ -13,14 +13,25 @@ The gazetteer leg runs the same stages over a larger corpus recognized by a
 `Gazetteer` of its PER/LOC surfaces and the N/T token rules, and must hash
 to `golden/gazetteer_leg.sha256`.
 
-All these outputs are strings, integers and scores printed to six decimals,
-so the digests hold on any platform. A changed digest is an output change:
-regenerate the file from the listing the failure prints, and say why in
-CHANGES.md.
+The neural leg pins what the two session translators (`tests/conftest.py`)
+produce: both model files, the k-best lists of every distinct PER/LOC
+surface at widths 1, 2 and 5, `translate-ne --k 5` over those surfaces, and
+the files of align -> replace -> extract-lex -> restore run with the models,
+at one and at two jobs, in `golden/neural_leg.sha256`.
+
+All the other outputs are strings, integers and scores printed to six
+decimals, so their digests hold on any platform. The neural ones depend on
+the floating-point arithmetic of the numpy build and its BLAS, so
+`golden/neural_leg.build` names the build they were made on, and on any
+other build the leg skips and names both. A changed digest is an output
+change: regenerate the file from the listing the failure prints, and say why
+in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -28,7 +39,7 @@ import pytest
 from netrans import core, pipeline, synth
 from netrans.align import AlignConfig, align_corpus, write_alignments
 from netrans.cli import main
-from netrans.core import NeType
+from netrans.core import SOURCE, TARGET, NeType
 from netrans.ner import AnnotationRecognizer, Gazetteer
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -172,4 +183,96 @@ def test_synth_outputs_match_the_committed_digests(tmp_path, capsys, run):
     assert main(["synth", "--out-dir", str(tmp_path), *SYNTH_RUNS[run]]) == 0
     got = digest_listing(tmp_path)
     assert got == (GOLDEN / f"synth_{run}.sha256").read_text(encoding="utf-8"), \
+        f"digests now:\n{got}"
+
+
+def numpy_build() -> str:
+    """The numpy version and the name and version of the BLAS it was built with."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its configuration
+        name = "unknown"
+    return f"numpy {np.__version__}; blas {name}"
+
+
+def run_neural_leg(out: Path, jobs: int, sc: synth.SynthCorpus, translators, capsys) -> None:
+    """Write the models, their k-best lists and every file of the pipeline
+    run through the CLI with them under `out`."""
+    s2t, t2s = translators
+    recognizer = AnnotationRecognizer(sc.annotations)
+    surfaces = {
+        direction: list(dict.fromkeys(
+            span.surface for pair in sc.corpus
+            for span in recognizer.recognize(getattr(pair, attr), pair.id, side)
+            if span.ne_type is not NeType.NT))
+        for direction, attr, side in (("s2t", "src", SOURCE), ("t2s", "tgt", TARGET))}
+    work = out.parent / f"{out.name}.work"  # inputs, kept out of the listing
+    work.mkdir()
+
+    def cli(*argv: str) -> str:
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    for direction, translator in (("s2t", s2t), ("t2s", t2s)):
+        shutil.copyfile(translator.path, out / f"model.{direction}.bin")
+        for width in (1, 2, 5):
+            decode = dataclasses.replace(translator, beam_width=width)
+            core.write_lines(out / f"kbest.{direction}.w{width}.tsv",
+                             (f"{surface}\t{candidate}\t{logprob!r}"
+                              for surface in surfaces[direction]
+                              for candidate, logprob in decode(surface)))
+        inputs = work / f"surfaces.{direction}.txt"
+        core.write_lines(inputs, surfaces[direction])
+        stdout = cli("translate-ne", "--model", translator.path, "--input", str(inputs),
+                     "--k", "5")
+        (out / f"translate.{direction}.k5.out").write_text(stdout, encoding="utf-8")
+
+    zh, en, ann = (str(work / name) for name in ("corpus.zh", "corpus.en", "annotations.tsv"))
+    core.write_parallel_corpus(sc.corpus, zh, en)
+    core.write_annotations(sc.annotations, ann)
+    langs = ["--src-lang", synth.ZH, "--tgt-lang", synth.EN]
+    o = {name: str(out / name) for name in (
+        "alignments.tsv", "pairs.tsv", "rewritten.zh", "rewritten.en", "symbols.tsv",
+        "test.zh", "test_symbols.tsv", "lex.tsv", "half_lex.tsv", "restored.en",
+        "test_restored.en")}
+    stdout = {
+        "align": cli("align", "--src", zh, "--tgt", en, *langs, "--annotations", ann,
+                     "--model-s2t", s2t.path, "--model-t2s", t2s.path,
+                     "--out-alignments", o["alignments.tsv"], "--out-pairs", o["pairs.tsv"],
+                     "--jobs", str(jobs)),
+        "replace": cli("replace", "--alignments", o["alignments.tsv"], "--src", zh,
+                       "--tgt", en, *langs, "--out-src", o["rewritten.zh"],
+                       "--out-tgt", o["rewritten.en"], "--out-symmap", o["symbols.tsv"]),
+        "replace_test": cli("replace", "--input", zh, "--lang", synth.ZH, "--annotations", ann,
+                            "--out", o["test.zh"], "--out-symmap", o["test_symbols.tsv"]),
+        "extract_lex": cli("extract-lex", "--pairs", o["pairs.tsv"], "--out", o["lex.tsv"]),
+    }
+    # every other pair of the table, so test-time restore asks the model too
+    pipeline.LexicalTable.from_pairs(core.read_ne_pairs(o["pairs.tsv"])[::2]).write(
+        o["half_lex.tsv"])
+    for name, text, symbols, lex in (
+            ("restored.en", "rewritten.en", "symbols.tsv", "lex.tsv"),
+            ("test_restored.en", "test.zh", "test_symbols.tsv", "half_lex.tsv")):
+        stdout[name] = cli("restore", "--input", o[text], "--symmap", o[symbols],
+                           "--lex", o[lex], "--model", s2t.path, *langs, "--out", o[name],
+                           "--jobs", str(jobs))
+    for name, text in stdout.items():
+        (out / f"{name}.out").write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_neural_leg_outputs_match_the_committed_digests(tmp_path, capsys, synth_corpus,
+                                                       translators, jobs):
+    pinned = (GOLDEN / "neural_leg.build").read_text(encoding="utf-8").strip()
+    here = numpy_build()
+    if here != pinned:
+        pytest.skip(f"neural digests were made on {pinned}; this is {here}")
+    out = tmp_path / "out"
+    out.mkdir()
+    run_neural_leg(out, jobs, synth_corpus, translators, capsys)
+    got = digest_listing(out)
+    assert got == (GOLDEN / "neural_leg.sha256").read_text(encoding="utf-8"), \
         f"digests now:\n{got}"
