@@ -25,11 +25,11 @@ deterministic function, so one result serves every occurrence.
 
 `decode_once` is the one decode step of the toolkit: `align_corpus`,
 `pipeline.restore_corpus` and `netrans translate-ne` all hand it their
-surfaces as they come. It keeps the first occurrence of each and is the only
-place that starts worker processes; they return the decodes in input order,
-so the result is the same for any job count. The pool's modules
-(`multiprocessing`) load when the first pool starts, so a run that decodes
-in-process never imports them.
+surfaces as they come, and the commands hand it a `ModelTranslator`. It
+keeps the first occurrence of each and is the only place that starts worker
+processes; they return the decodes in input order, so the result is the
+same for any job count. The pool's modules (`multiprocessing`) load when
+the first pool starts, so a run that decodes in-process never imports them.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import numnorm, simdist
-from .core import NePair, NeSpan, NeType, SentencePair, read_rows, write_lines
+from .core import SOURCE, TARGET, NePair, NeSpan, NeType, SentencePair, read_rows, write_lines
 from .errors import ConfigError, ContractError
 from .ner import Recognizer
 
@@ -318,8 +318,8 @@ def align_sentence_pair(pair: SentencePair, src_spans: Sequence[NeSpan],
     Matches are carried as `_Link`s, and an `AlignedPair` is built only for
     each link kept.
     """
-    src_spans = _spans_for(pair, src_spans, "source")
-    tgt_spans = _spans_for(pair, tgt_spans, "target")
+    src_spans = _spans_for(pair, src_spans, SOURCE)
+    tgt_spans = _spans_for(pair, tgt_spans, TARGET)
     if memos is None:
         memos = _Memos(cfg.sim_threshold)
 
@@ -492,8 +492,8 @@ def align_corpus(corpus: Sequence[SentencePair], recognizer: Recognizer,
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(pair, recognizer.recognize(pair.src, pair.id, "source"),
-              recognizer.recognize(pair.tgt, pair.id, "target")) for pair in corpus]
+    tasks = [(pair, recognizer.recognize(pair.src, pair.id, SOURCE),
+              recognizer.recognize(pair.tgt, pair.id, TARGET)) for pair in corpus]
     missing = [(direction, side) for direction, translator, side in ((S2T, s2t, 1), (T2S, t2s, 2))
                if translator is None and cfg.directions in (BOTH, direction)]
     for task in tasks:  # a missing translator fails at its first span, before any decode
@@ -535,7 +535,8 @@ _MODEL_CACHE: dict = {}
 
 @dataclass(frozen=True)
 class ModelTranslator:
-    """K-best translator backed by a model file.
+    """K-best translator backed by a model file, the toolkit's one caller of
+    `beam.translate`; `max_len` caps a candidate (None: the model's cap).
 
     Loads lazily, once per process and file contents: a model saved over
     the same path is loaded afresh, found by the digest the file ends with.
@@ -543,6 +544,7 @@ class ModelTranslator:
 
     path: str
     beam_width: int = 5
+    max_len: int | None = None
 
     def __call__(self, text: str) -> list[tuple[str, float]]:
         from .neural import beam, io
@@ -551,7 +553,7 @@ class ModelTranslator:
         cached = _MODEL_CACHE.get(self.path)
         if cached is None or cached[0] != digest:
             cached = _MODEL_CACHE[self.path] = (digest, io.load_model(self.path))
-        return beam.translate(cached[1], text, self.beam_width)
+        return beam.translate(cached[1], text, self.beam_width, self.max_len)
 
 
 def write_alignments(alignments: Sequence[AlignedPair], path) -> None:

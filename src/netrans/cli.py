@@ -9,15 +9,16 @@ diagnostic tools. Exit codes: 0 success, 1 usage or configuration problem,
 Every subcommand accepts `--config FILE` with `key = value` lines (`#`
 comments); command-line flags override file values, unknown keys are
 rejected. All randomness flows from `--seed`. `align`, `restore` and
-`translate-ne` decode through one step, `align.decode_once`, which decodes
-each distinct surface once. `--jobs` spreads the model decodes of `align`
-and `restore` over processes; matching, replacing and restoring run in one
-process. `replace` accepts `--jobs` for symmetry. Outputs are
-byte-identical for any job count.
+`translate-ne` decode through one translator, `align.ModelTranslator`, and
+one step, `align.decode_once`, which decodes each distinct surface once.
+`--jobs` spreads the model decodes of `align` and `restore` over processes;
+matching, replacing and restoring run in one process. `replace` accepts
+`--jobs` for symmetry. Outputs are byte-identical for any job count.
 
 Each subcommand loads only what it runs. The neural translator, and with it
-numpy, is imported by `train-ne`, `translate-ne`, `score-ne`, `gradcheck`,
-and by `align` and `restore` when given a model, at its first decode; every
+numpy, is imported by `train-ne`, `score-ne` and `gradcheck`, and by
+`translate-ne`, and `align` and `restore` given a model, at their first
+decode, so these read the model only after their inputs are checked; every
 other subcommand starts without it. The worker pool loads when `--jobs`
 first starts one.
 """
@@ -110,22 +111,17 @@ def cmd_train_ne(args) -> int:
 
 
 def cmd_translate_ne(args) -> int:
-    from .neural import load_model
-    from .neural import translate as beam_translate
-
     _require(args, "model", "input")
     if not 1 <= args.k <= args.beam:
         raise ConfigError(f"--k must be between 1 and --beam ({args.beam}), got {args.k}")
     if args.max_len is not None and args.max_len < 1:  # an empty input decodes nothing
         raise ConfigError(f"max_len must be >= 1, got {args.max_len}")
-    model = load_model(args.model)
     texts = [line.strip() for line in core.read_lines(args.input)]
     for i, text in enumerate(texts):
         if not text:
             raise CorpusError(f"{args.input}: empty line {i + 1}")
-    # each distinct line is decoded once and printed at every occurrence
-    kbest = align.decode_once(partial(beam_translate, model, beam_width=args.beam,
-                                      max_len=args.max_len), texts)
+    # the model loads at the first decode; each distinct line is decoded once
+    kbest = align.decode_once(align.ModelTranslator(args.model, args.beam, args.max_len), texts)
     _write_rows(args.out, [f"{text}\t{candidate}\t{logprob:.6f}"
                            for text in texts for candidate, logprob in kbest(text)[:args.k]])
     return 0
@@ -387,7 +383,7 @@ def _build() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub("train-ne", cmd_train_ne, "train an entity translator")
     p.add_argument("--pairs", help="training pair TSV")
     p.add_argument("--dev", help="development pair TSV for early stopping")
-    p.add_argument("--direction", choices=["s2t", "t2s"])
+    p.add_argument("--direction", choices=[align.S2T, align.T2S])
     p.add_argument("--out", help="model output path")
     p.add_argument("--log", help="training log path (default: OUT.log)")
     p.add_argument("--epochs", type=int, default=100)
@@ -410,7 +406,7 @@ def _build() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub("gradcheck", cmd_gradcheck, "compare gradients with finite differences")
     p.add_argument("--pairs", help="pair TSV (default: two built-in pairs)")
-    p.add_argument("--direction", choices=["s2t", "t2s"], default="s2t")
+    p.add_argument("--direction", choices=[align.S2T, align.T2S], default=align.S2T)
     p.add_argument("--fd-eps", type=float, default=1e-4)
     p.add_argument("--tolerance", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=42)

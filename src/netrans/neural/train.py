@@ -7,13 +7,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..align import S2T, T2S
 from ..core import NePair
 from ..errors import ConfigError, DivergenceError
 from .model import FlatParams, ModelConfig, Seq2SeqModel
 from .vocab import CharVocab
-
-S2T = "s2t"
-T2S = "t2s"
 
 
 def oriented(pairs: Sequence[NePair], direction: str) -> list[tuple[str, str]]:

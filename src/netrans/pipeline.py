@@ -26,9 +26,10 @@ from .numnorm import render_nt
 
 log = logging.getLogger(__name__)
 
-PLACEHOLDER_RE = re.compile(r"^(PER|LOC|NT)([1-9][0-9]*)$")
+_TYPES = "|".join(t.value for t in NeType)
+PLACEHOLDER_RE = re.compile(rf"^({_TYPES})([1-9][0-9]*)$")
 # broader than the symbols we emit: PER0, NT007 etc. are escaped too
-_COLLIDING_RE = re.compile(r"^(PER|LOC|NT)[0-9]+$")
+_COLLIDING_RE = re.compile(rf"^({_TYPES})[0-9]+$")
 ESC = "␛"
 
 
@@ -261,23 +262,22 @@ def restore_corpus(sentences: Sequence[Sentence], symbol_map: dict[int, Sequence
     Entries for a sentence id the output does not have count as
     unrealized, with one warning for them all.
 
-    The PER/LOC surfaces that the table misses go to `align.decode_once`
-    as they come, which calls the translator once per distinct one, first
-    occurrence first (jobs > 1 spreads those calls over processes, so it
-    must then pickle). This is exact: translators are deterministic, and
-    `restore` asks for exactly these surfaces, so a raising translator still
-    fails on the first one in corpus order.
+    Which surfaces are decoded is `restore`'s decision alone: a first pass
+    of it, with a translator that records its questions and answers none,
+    hands them to `align.decode_once`, which asks the translator once per
+    distinct one, first occurrence first (jobs > 1 spreads those calls over
+    processes, so it must then pickle). Translators are deterministic, so
+    this is exact, and a raising one fails on the first surface in order.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if translator is not None:
-        def missed():  # the surfaces `restore` asks the translator for, in corpus order
-            for sid, sentence in enumerate(sentences):
-                by_symbol = {e.symbol: e for e in symbol_map.get(sid, ())}
-                for entry in map(by_symbol.get, filter(PLACEHOLDER_RE.match, sentence.tokens)):
-                    if entry and entry.ne_type is not NeType.NT and not table.best(entry.surface):
-                        yield entry.surface
-        translator = decode_once(translator, missed(), jobs)
+        asked: list[str] = []
+        for sid, sentence in enumerate(sentences):
+            restore(sentence, symbol_map.get(sid, ()), table,
+                    lambda surface: asked.append(surface) or (),
+                    src_lang=src_lang, tgt_lang=tgt_lang)
+        translator = decode_once(translator, asked, jobs)
     totals = RestoreReport()
     restored = []
     for sid, sentence in enumerate(sentences):

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .align import BOTH, AlignedPair
-from .core import NePair, NeSpan, NeType, Sentence, SentencePair
+from .core import SOURCE, TARGET, NePair, NeSpan, NeType, Sentence, SentencePair
 from .errors import ConfigError
 from .numnorm import MONTH_NAMES, ZH_NUMERALS
 
@@ -237,8 +237,8 @@ def make_corpus(n_pairs: int = 50, n_sentences: int = 200, seed: int = 42,
             es, ee = en_of_type[ne_type][taken[ne_type]]
             taken[ne_type] += 1
             gold.append(AlignedPair(sid, zs, ze, es, ee, ne_type, 1.0, BOTH))
-            src_span = NeSpan(sid, "source", zs, ze, ne_type)
-            tgt_span = NeSpan(sid, "target", es, ee, ne_type)
+            src_span = NeSpan(sid, SOURCE, zs, ze, ne_type)
+            tgt_span = NeSpan(sid, TARGET, es, ee, ne_type)
             if rng.random() < oneside_drop:
                 annotations.append(tgt_span if rng.random() < 0.5 else src_span)
             else:

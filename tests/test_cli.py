@@ -271,16 +271,16 @@ def test_translate_ne_rejects_empty_lines(capsys, work, tiny_model):
 
 
 def test_translate_ne_decodes_each_distinct_line_once(capsys, work, tiny_model, monkeypatch):
-    from netrans import neural
+    from netrans.neural import beam
 
     calls = []
-    decode = neural.translate
+    decode = beam.translate
 
     def counting(model, text, *args, **kwargs):
         calls.append(text)
         return decode(model, text, *args, **kwargs)
 
-    monkeypatch.setattr(neural, "translate", counting)
+    monkeypatch.setattr(beam, "translate", counting)
     lines = ["巴林", "安娜", "巴林", " 安娜 ", "马克", "巴林"]
     inputs = work / "repeated_inputs.txt"
     inputs.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -304,10 +304,10 @@ def test_translate_ne_decodes_each_distinct_line_once(capsys, work, tiny_model, 
 
 
 def test_translate_ne_checks_every_line_before_decoding(capsys, work, tiny_model, monkeypatch):
-    from netrans import neural
+    from netrans.neural import beam
 
     calls = []
-    monkeypatch.setattr(neural, "translate", lambda *args: calls.append(args))
+    monkeypatch.setattr(beam, "translate", lambda *args: calls.append(args))
     inputs = work / "late_empty_line.txt"
     inputs.write_text("巴林\n安娜\n  \n马克\n", encoding="utf-8")
     out = work / "late_empty_unused.tsv"
@@ -317,6 +317,47 @@ def test_translate_ne_checks_every_line_before_decoding(capsys, work, tiny_model
     assert "empty line 3" in err
     assert calls == []
     assert not out.exists()
+
+
+def test_translate_ne_max_len_reaches_the_decode(capsys, work, tiny_model):
+    from netrans.neural import beam, load_model
+
+    inputs = work / "capped_inputs.txt"
+    inputs.write_text("巴林\n安娜\n", encoding="utf-8")
+    model = load_model(str(tiny_model))
+    for max_len in (1, 2):
+        rc, out, _ = run(capsys, "translate-ne", "--model", str(tiny_model),
+                         "--input", str(inputs), "--beam", "3", "--k", "3",
+                         "--max-len", str(max_len))
+        assert rc == 0
+        assert out == "".join(f"{text}\t{candidate}\t{logprob:.6f}\n"
+                              for text in ("巴林", "安娜")
+                              for candidate, logprob in beam.translate(model, text, 3, max_len))
+        assert all(len(row.split("\t")[1]) <= max_len for row in out.splitlines())
+
+
+def test_translate_ne_decodes_a_model_saved_over_its_path_afresh(capsys, work, tiny_pairs):
+    from netrans.neural import beam, load_model
+
+    path = work / "resaved.bin"
+    inputs = work / "resaved_inputs.txt"
+    inputs.write_text("巴林\n马克\n", encoding="utf-8")
+    outs = []
+    for seed in ("3", "4"):
+        rc = main(["train-ne", "--pairs", str(tiny_pairs), "--direction", "s2t",
+                   "--out", str(path), "--hidden", "8", "--embed", "4",
+                   "--lr", "1.0", "--epochs", "3", "--seed", seed])
+        assert rc == 0
+        capsys.readouterr()
+        rc, out, _ = run(capsys, "translate-ne", "--model", str(path), "--input", str(inputs),
+                         "--k", "5")
+        assert rc == 0
+        model = load_model(str(path))
+        assert out == "".join(f"{text}\t{candidate}\t{logprob:.6f}\n"
+                              for text in ("巴林", "马克")
+                              for candidate, logprob in beam.translate(model, text, 5))
+        outs.append(out)
+    assert outs[0] != outs[1]
 
 
 @pytest.mark.parametrize("k", ["0", "6"])

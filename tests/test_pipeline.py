@@ -1,15 +1,17 @@
 """Placeholder rewriting, lexical tables, and restoration."""
 
+import concurrent.futures
 import logging
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netrans import pipeline
+from netrans import pipeline, synth
 from netrans.align import AlignedPair
-from netrans.core import NePair, NeSpan, NeType, Sentence, SentencePair
+from netrans.core import SOURCE, NePair, NeSpan, NeType, Sentence, SentencePair
 from netrans.errors import ConfigError, ContractError, ParseError
+from netrans.ner import AnnotationRecognizer
 from netrans.pipeline import (
     ESC,
     LexicalTable,
@@ -25,6 +27,7 @@ from netrans.pipeline import (
     unescape_token,
     write_symbol_map,
 )
+from test_parallel import FakePool
 
 
 def loc(sid, ss, se, ts, te, score=1.0):
@@ -619,3 +622,51 @@ def test_corpus_round_trip_with_extracted_table():
                                    src_lang="zh", tgt_lang="en")
         assert restored.text() == pair.tgt.text()
         assert report.warnings == 0
+
+
+class RecordingKBest:
+    """A k-best translator that records each surface it is asked for. Some
+    surfaces get no candidate, some only blank ones, some a blank one first."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, text):
+        self.calls.append(text)
+        kind = sum(map(ord, text)) % 4
+        return ([], [(" ", -0.1)], [("", -0.1), (f"x{len(text)}", -0.2)],
+                [(f"y {text}", -0.3)])[kind]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@settings(max_examples=30, deadline=None)
+@given(n_pairs=st.integers(3, 12), extra=st.integers(0, 8), seed=st.integers(0, 2**16),
+       noise=st.sampled_from([0.0, 0.2]), drop=st.sampled_from([0.0, 0.3, 0.7]),
+       rng=st.randoms(use_true_random=False))
+def test_restore_corpus_asks_the_translator_what_restore_asks(jobs, n_pairs, extra, seed,
+                                                              noise, drop, rng):
+    sc = synth.make_corpus(n_pairs, 4 * n_pairs + extra, seed=seed, noise=noise,
+                           oneside_drop=drop, min_occurrences=1)
+    recognizer = AnnotationRecognizer(sc.annotations)
+    sentences, symbol_map = [], {}
+    for pair in sc.corpus:
+        rewritten, entries = replace_test_sentence(
+            pair.src, recognizer.recognize(pair.src, pair.id, SOURCE), sentence_id=pair.id)
+        symbol_map[pair.id] = entries
+        # an MT output that loses, repeats and invents symbols
+        tokens = [t for t in rewritten.tokens for _ in range(rng.choice((0, 1, 1, 2)))]
+        if rng.random() < 0.2:
+            tokens.insert(rng.randrange(len(tokens) + 1), "PER9")
+        sentences.append(Sentence(tuple(tokens), "en"))
+    # every other pair, NT ones among them
+    table = extract_lexical_table(sc.plant_pairs[::2])
+
+    alone = RecordingKBest()
+    expected = per_sentence(sentences, symbol_map, table, alone)
+    corpus = RecordingKBest()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        got = restore_corpus(sentences, symbol_map, table, corpus, jobs=jobs,
+                             src_lang="zh", tgt_lang="en")
+    assert corpus.calls == list(dict.fromkeys(alone.calls))
+    assert got == expected
